@@ -6,9 +6,12 @@ arrays, :func:`plan_for` maps a configured
 :class:`~repro.matching.attribute_matching.AttributeComparator` onto
 batch kernels, and :func:`compare_block` scores whole candidate-pair
 blocks at once — byte-identical to the scalar measures, several times
-faster.  See README § "Columnar comparison kernels".
+faster — into a :class:`PairBatch` of score lanes that the decision and
+clustering stages keep working on (:mod:`repro.columnar.batch`).  See
+README § "Columnar comparison kernels".
 """
 
+from repro.columnar.batch import PairBatch, ScoredBatch, accepted_pairs
 from repro.columnar.compare import compare_block, count_fallback, count_store_build
 from repro.columnar.kernels import Kernel, KernelPlan, kernel_for, plan_for
 from repro.columnar.store import NULL_VID, ColumnarStore
@@ -21,6 +24,9 @@ __all__ = [
     "kernel_for",
     "plan_for",
     "compare_block",
+    "PairBatch",
+    "ScoredBatch",
+    "accepted_pairs",
     "count_fallback",
     "count_store_build",
 ]

@@ -15,10 +15,12 @@ by pair.  Per attribute it
    so the kernels score each *distinct* value pair once,
 4. scatters the distinct scores back over the block.
 
-The resulting :class:`SimilarityVector` list is byte-identical to the
-scalar loop (same pairs, same attribute order, same Python ``float``
-scores) — every kernel guarantees bitwise score equality and the
-null/argument-order semantics are reproduced exactly.
+The result is a :class:`~repro.columnar.batch.PairBatch` — one score
+lane and null mask per attribute instead of one object per pair — which
+reads as a sequence of :class:`SimilarityVector` objects byte-identical
+to the scalar loop's (same pairs, same attribute order, same Python
+``float`` scores): every kernel guarantees bitwise score equality and
+the null/argument-order semantics are reproduced exactly.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.columnar.batch import PairBatch, store_rows
 from repro.columnar.kernels import KernelPlan
 from repro.columnar.store import NULL_VID, ColumnarStore
 from repro.core.pairs import Pair
-from repro.matching.attribute_matching import SimilarityVector
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import span
 
@@ -69,38 +71,29 @@ def compare_block(
     store: ColumnarStore,
     pairs: Sequence[Pair],
     plan: KernelPlan,
-) -> list[SimilarityVector]:
+) -> PairBatch:
     """Similarity vectors of ``pairs``, scored by batch kernels.
 
     ``pairs`` must already be canonical (:func:`repro.core.pairs.make_pair`)
-    and ordered by the caller; the i-th vector belongs to the i-th pair.
+    and ordered by the caller; the i-th vector of the returned batch
+    belongs to the i-th pair.
     """
-    if not pairs:
-        return []
     with span(
         "comparison.columnar",
         pairs=len(pairs),
         attributes=len(plan.attributes),
         rows=len(store),
     ):
-        row_index = store.row_index
-        rows = np.fromiter(
-            (row_index[record_id] for pair in pairs for record_id in pair),
-            dtype=np.int64,
-            count=2 * len(pairs),
-        ).reshape(-1, 2)
-        rows_a = np.ascontiguousarray(rows[:, 0])
-        rows_b = np.ascontiguousarray(rows[:, 1])
-        # Per attribute: the block's score lane as a Python list, with
-        # ``None`` punched in wherever either side's value is null.
-        columns: list[list[float | None]] = []
+        rows_a, rows_b = store_rows(store, pairs)
+        lanes: list[np.ndarray] = []
+        nulls: list[np.ndarray] = []
         distinct_total = 0
         for attribute, kernel in zip(plan.attributes, plan.kernels):
             column = store.column(attribute).astype(np.int64, copy=False)
             vids_a = column[rows_a]
             vids_b = column[rows_b]
             present = (vids_a != NULL_VID) & (vids_b != NULL_VID)
-            scores = np.full(len(pairs), np.nan, dtype=np.float64)
+            lane = np.zeros(len(pairs), dtype=np.float64)
             if present.any():
                 packed = (vids_a[present] << 32) | vids_b[present]
                 unique, inverse = np.unique(packed, return_inverse=True)
@@ -109,27 +102,13 @@ def compare_block(
                     unique >> 32,
                     unique & np.int64(0xFFFFFFFF),
                 )
-                scores[present] = unique_scores[inverse]
+                lane[present] = unique_scores[inverse]
                 distinct_total += len(unique)
-            lane: list[float | None] = scores.tolist()
-            if not present.all():
-                for position in np.flatnonzero(~present).tolist():
-                    lane[position] = None
-            columns.append(lane)
+            lanes.append(lane)
+            nulls.append(~present)
         _KERNEL_PAIRS.inc(len(pairs))
         if distinct_total:
             _KERNEL_DISTINCT.inc(distinct_total)
-        # Mass-construct the frozen vectors the way pickle revives them
-        # (__new__ plus a __dict__ write): the generated __init__ costs
-        # two object.__setattr__ calls per instance, which dominates the
-        # whole scoring pass at ~50k vectors per block.
-        attributes = plan.attributes
-        new = SimilarityVector.__new__
-        vectors = []
-        append = vectors.append
-        for pair, lanes in zip(pairs, zip(*columns)):
-            vector = new(SimilarityVector)
-            vector.__dict__["pair"] = pair
-            vector.__dict__["values"] = dict(zip(attributes, lanes))
-            append(vector)
-        return vectors
+        return PairBatch(
+            pairs, rows_a, rows_b, store.row_ids, plan.attributes, lanes, nulls
+        )

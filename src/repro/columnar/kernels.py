@@ -46,6 +46,7 @@ from repro.matching.similarity import (
     monge_elkan,
     ngram_jaccard,
     numeric_similarity,
+    ordered_sum,
     overlap_coefficient,
     soundex_similarity,
     token_jaccard,
@@ -297,7 +298,7 @@ def _cached_monge_elkan(first: str, second: str) -> float:
             return 1.0 if not tokens_b else 0.0
         if not tokens_b:
             return 0.0
-        return sum(
+        return ordered_sum(
             max(_cached_inner_jaro_winkler(token_a, token_b) for token_b in tokens_b)
             for token_a in tokens_a
         ) / len(tokens_a)
@@ -335,7 +336,8 @@ class TfIdfKernel(Kernel):
     instance's TF-IDF vector once as parallel (token, weight) arrays in
     *insertion order* plus a lookup dict; the per-pair dot product then
     walks the left arrays in that same order, so the float summation
-    matches the scalar ``sum()`` addition for addition.
+    matches the scalar :func:`~repro.matching.similarity.ordered_sum`
+    addition for addition.
     """
 
     name = "tfidf_cosine"
@@ -367,7 +369,7 @@ class TfIdfKernel(Kernel):
         if norm_a == 0.0 or norm_b == 0.0:
             return 0.0
         lookup = vector_b.get
-        dot = sum(
+        dot = ordered_sum(
             weight * lookup(token, 0.0)
             for token, weight in zip(tokens_a, weights_a)
         )

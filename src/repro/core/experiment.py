@@ -12,13 +12,36 @@ pair-list format and a cluster-assignment format (Section 3.1.1).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+import gc
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.clustering import Clustering, closure_distance
 from repro.core.pairs import Pair, ScoredPair, make_pair
 
-__all__ = ["Match", "Experiment", "GoldStandard"]
+__all__ = ["Match", "Experiment", "GoldStandard", "collector_paused"]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while match lists are built.
+
+    Building or serializing an experiment allocates a few container
+    objects per match (the match, its field dict, its pair or row),
+    hundreds of thousands in all; the allocation count alone triggers
+    collections that rescan the whole heap, yet none of these objects
+    can be part of a reference cycle.  The previous state is restored
+    on exit.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass(frozen=True)

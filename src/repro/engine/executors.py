@@ -29,9 +29,13 @@ a deterministic global order.
 from __future__ import annotations
 
 import logging
+import pickle
 import threading
 from collections.abc import Callable, Sequence
+from concurrent.futures.process import BrokenProcessPool
 from typing import TypeVar
+
+from repro.telemetry.metrics import get_metrics
 
 __all__ = [
     "SerialExecutor",
@@ -41,6 +45,17 @@ __all__ = [
 ]
 
 _LOGGER = logging.getLogger(__name__)
+
+_FALLBACKS = get_metrics().counter(
+    "frost_executor_fallback_total",
+    "Process-pool shard maps rerun serially after a pool-level failure",
+)
+
+# Failures of the pool rather than of a task: a worker process died,
+# something could not be pickled across the process boundary, or
+# processes/semaphores could not be created.  A task's own exception
+# is none of these and propagates unchanged.
+_POOL_ERRORS = (BrokenProcessPool, pickle.PicklingError, OSError)
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
@@ -144,13 +159,12 @@ class ProcessExecutor:
     ``function`` and every task are pickled into the workers, so both
     must be module-level / picklable; ``shared`` (typically the
     comparator) ships once per worker through the pool initializer
-    rather than once per task.  When the pool cannot deliver —
-    sandboxes without ``fork``/semaphores, unpicklable task state, a
-    broken pool — :meth:`map` degrades to the serial path with a
-    warning instead of failing the pipeline run: serial output is
-    identical, and a *task-level* error (as opposed to a pool-level
-    one) reproduces deterministically in the serial re-run with an
-    undamaged traceback.
+    rather than once per task.  When the pool itself cannot deliver —
+    sandboxes without ``fork``/semaphores, unpicklable function or
+    shared state, a worker that died — :meth:`map` reruns the tasks
+    serially with a warning, counted in ``frost_executor_fallback_total``,
+    instead of failing the pipeline run: serial output is identical.
+    An exception raised by a task propagates as is, without a rerun.
     """
 
     def __init__(self, workers: int) -> None:
@@ -173,8 +187,17 @@ class ProcessExecutor:
             return SerialExecutor().map(function, tasks, shared=shared)
         import concurrent.futures
 
+        from multiprocessing.reduction import ForkingPickler
+
         initializer = None if shared is None else _set_shared_state
         initargs = () if shared is None else (shared,)
+        try:
+            # Starting workers pickles these with whatever error their
+            # reducers raise (TypeError, AttributeError, ...); checking
+            # first keeps every such failure a pool-level one.
+            ForkingPickler.dumps((function, shared))
+        except Exception as error:  # noqa: BLE001 - any unpicklable value
+            return self._rerun_serially(error, function, tasks, shared)
         try:
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=width,
@@ -183,14 +206,19 @@ class ProcessExecutor:
                 initargs=initargs,
             ) as pool:
                 return list(pool.map(function, tasks))
-        except Exception as error:
-            _LOGGER.warning(
-                "process pool failed (%s: %s); running %d shard(s) serially",
-                type(error).__name__,
-                error,
-                len(tasks),
-            )
-            return SerialExecutor().map(function, tasks, shared=shared)
+        except _POOL_ERRORS as error:
+            return self._rerun_serially(error, function, tasks, shared)
+
+    @staticmethod
+    def _rerun_serially(error, function, tasks, shared) -> list:
+        _FALLBACKS.inc()
+        _LOGGER.warning(
+            "process pool failed (%s: %s); running %d shard(s) serially",
+            type(error).__name__,
+            error,
+            len(tasks),
+        )
+        return SerialExecutor().map(function, tasks, shared=shared)
 
     def __repr__(self) -> str:
         return f"ProcessExecutor(workers={self.workers})"

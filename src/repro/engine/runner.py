@@ -29,7 +29,9 @@ Built-in job kinds:
     ``gold``, optional ``samples``.
 ``pipeline``
     Run a :class:`~repro.matching.pipeline.MatchingPipeline` on a
-    registered dataset and register the resulting experiment.  Params:
+    registered dataset and register the resulting experiment — the
+    live one it computed, or one rebuilt from the cached payload when
+    the result is served from cache.  Params:
     ``pipeline``, ``dataset``, optional ``register`` / ``register_as``,
     optional ``blocker`` (a JSON key config such as ``{"kind": "lsh",
     "bands": 16}`` swapping the candidate generator per job — part of
@@ -63,9 +65,10 @@ import threading
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.confusion import ConfusionMatrix
-from repro.core.experiment import Experiment, Match
+from repro.core.experiment import Experiment, Match, collector_paused
 from repro.core.platform import FrostPlatform
 from repro.engine.cache import MISS, ResultCache
 from repro.engine.jobs import (
@@ -78,6 +81,9 @@ from repro.engine.jobs import (
 from repro.storage.database import FrostStore
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import get_tracer
+
+if TYPE_CHECKING:
+    from repro.matching.pipeline import PipelineRun
 
 __all__ = ["ExperimentEngine", "EngineError", "serialize_experiment"]
 
@@ -113,14 +119,18 @@ class JobHandler:
 
     ``compute(params, inputs)`` produces the job value; ``token``
     (optional) maps params to a content token for cache-key hashing —
-    handlers without one are never cached; ``after`` (optional) runs on
-    both computed and cache-served values, e.g. to register a pipeline
-    result on the platform.
+    handlers without one are never cached; ``encode`` (optional) turns
+    a computed value into the JSON payload that is cached and reported
+    as the job's value; ``after`` (optional) runs on both computed and
+    cache-served jobs, e.g. to register a pipeline result on the
+    platform — it receives the computed value itself, or the cached
+    payload when ``cached`` is true.
     """
 
     compute: Callable[[Mapping[str, object], Sequence[object]], object]
     token: Callable[[Mapping[str, object]], object] | None = None
     after: Callable[[Mapping[str, object], object, bool], None] | None = None
+    encode: Callable[[object], object] | None = None
 
 
 class _Entry:
@@ -141,28 +151,40 @@ class _Entry:
 
 def serialize_experiment(experiment: Experiment) -> dict[str, object]:
     """JSON document capturing an experiment (cacheable pipeline output)."""
+    with collector_paused():
+        matches = [
+            [match.pair[0], match.pair[1], match.score, match.from_clustering]
+            for match in experiment
+        ]
     return {
         "name": experiment.name,
         "solution": experiment.solution,
         "metadata": dict(experiment.metadata),
-        "matches": [
-            [match.pair[0], match.pair[1], match.score, match.from_clustering]
-            for match in experiment
-        ],
+        "matches": matches,
     }
+
+
+def _pipeline_payload(run: PipelineRun) -> dict[str, object]:
+    """The cached ``pipeline`` job value: experiment plus stage timings."""
+    payload = serialize_experiment(run.experiment)
+    payload["stage_seconds"] = dict(run.stage_seconds)
+    return payload
 
 
 def deserialize_experiment(payload: Mapping[str, object]) -> Experiment:
     """Rebuild an :class:`Experiment` from :func:`serialize_experiment`."""
-    return Experiment(
-        (
-            Match(pair=(first, second), score=score, from_clustering=bool(flag))
-            for first, second, score, flag in payload["matches"]
-        ),
-        name=payload["name"],
-        solution=payload.get("solution"),
-        metadata=payload.get("metadata") or {},
-    )
+    with collector_paused():
+        return Experiment(
+            (
+                Match(
+                    pair=(first, second), score=score, from_clustering=bool(flag)
+                )
+                for first, second, score, flag in payload["matches"]
+            ),
+            name=payload["name"],
+            solution=payload.get("solution"),
+            metadata=payload.get("metadata") or {},
+        )
 
 
 class ExperimentEngine:
@@ -219,6 +241,7 @@ class ExperimentEngine:
                 compute=self._compute_pipeline,
                 token=self._pipeline_token,
                 after=self._register_pipeline_result,
+                encode=_pipeline_payload,
             ),
             "pipeline_stage": JobHandler(compute=self._compute_pipeline_stage),
             # no token: stateful, must never be served from cache
@@ -552,13 +575,18 @@ class ExperimentEngine:
                     value = self.cache.get(entry.result.cache_key)
                 if value is not MISS:
                     entry.result.cached = True
+                    computed = value
                 else:
-                    value = handler.compute(spec.params, inputs)
+                    computed = handler.compute(spec.params, inputs)
+                    value = (
+                        computed if handler.encode is None
+                        else handler.encode(computed)
+                    )
                     if entry.result.cache_key is not None:
                         self.cache.put(entry.result.cache_key, spec.kind, value)
                 job_span.annotate(cached=entry.result.cached)
                 if handler.after is not None:
-                    handler.after(spec.params, value, entry.result.cached)
+                    handler.after(spec.params, computed, entry.result.cached)
                 entry.result.value = value
                 _LOG.debug(
                     "job %s (%s) %s",
@@ -715,20 +743,25 @@ class ExperimentEngine:
 
     def _compute_pipeline(
         self, params: Mapping[str, object], inputs: Sequence[object]
-    ) -> dict[str, object]:
+    ) -> PipelineRun:
         pipeline = self._configured_pipeline(params)
-        run = pipeline.run(self.platform.dataset(params["dataset"]))
-        payload = serialize_experiment(run.experiment)
-        payload["stage_seconds"] = dict(run.stage_seconds)
-        return payload
+        return pipeline.run(self.platform.dataset(params["dataset"]))
 
     def _register_pipeline_result(
         self, params: Mapping[str, object], value: object, cached: bool
     ) -> None:
+        """Register the job's experiment on the platform.
+
+        A computed job registers the live experiment of its run; only a
+        cache-served payload is deserialized.
+        """
         if not params.get("register", True):
             return
         dataset_name = params["dataset"]
-        experiment = deserialize_experiment(value)
+        if cached:
+            experiment = deserialize_experiment(value)
+        else:
+            experiment = value.experiment
         register_as = params.get("register_as")
         if register_as:
             experiment.name = register_as

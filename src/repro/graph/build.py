@@ -18,6 +18,7 @@ invariant the hypothesis suite pins down.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 
 from repro.core.experiment import Experiment
 from repro.core.pairs import ScoredPair
@@ -77,7 +78,7 @@ class GraphUpdater:
     def apply_batch(
         self,
         nodes: list[tuple[int, str]],
-        scored: list[ScoredPair],
+        scored: Sequence[ScoredPair],
         vectors=None,
     ) -> None:
         """Append one delta: new records plus their scored pairs.

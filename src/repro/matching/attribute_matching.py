@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.core.pairs import Pair
 from repro.core.records import Dataset, Record
-from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity
+from repro.matching.similarity import SIMILARITY_FUNCTIONS, Similarity, ordered_sum
 
 __all__ = ["AttributeComparator", "SimilarityVector", "compare_pairs"]
 
@@ -39,11 +39,16 @@ class SimilarityVector:
         ]
 
     def mean(self) -> float:
-        """Mean of the non-missing similarities (0.0 if all missing)."""
+        """Mean of the non-missing similarities (0.0 if all missing).
+
+        Summed left to right (:func:`~repro.matching.similarity.ordered_sum`),
+        the order :meth:`repro.columnar.PairBatch.mean_scores` reproduces
+        lane by lane.
+        """
         present = [v for v in self.values.values() if v is not None]
         if not present:
             return 0.0
-        return sum(present) / len(present)
+        return ordered_sum(present) / len(present)
 
 
 class AttributeComparator:

@@ -17,9 +17,10 @@ produced — the parallel path is **byte-identical** to
   per-shard serialization instead of shipping the whole dataset to
   every worker);
 * every shard scores its pairs in sorted order, and the per-shard
-  outputs are k-way merged by pair, which equals one global sorted
-  scan — vector *values* are unaffected because the similarity
-  functions are pure.
+  outputs are scattered back to their pairs' positions in the global
+  sorted order — vector *values* are unaffected because the similarity
+  functions are pure.  Kernel-scored shards ship their score lanes
+  back and merge into one :class:`~repro.columnar.PairBatch`.
 
 Because the output cannot differ, the parallelism knob deliberately
 stays **out** of :meth:`MatchingPipeline.config_fingerprint`: the
@@ -34,15 +35,18 @@ import time
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from heapq import merge
+
+import numpy as np
 
 from repro.columnar import (
     ColumnarStore,
+    PairBatch,
     compare_block,
     count_fallback,
     count_store_build,
     plan_for,
 )
+from repro.columnar.batch import store_rows
 from repro.core.pairs import Pair
 from repro.core.records import Record
 from repro.matching.attribute_matching import (
@@ -182,6 +186,22 @@ def shard_of(pair: Pair, shard_count: int) -> int:
     return digest % shard_count
 
 
+def _shard_positions(
+    pairs: Sequence[Pair], shard_count: int
+) -> list[np.ndarray]:
+    """Per shard, the ascending positions in ``pairs`` of its pairs."""
+    if shard_count < 1:
+        raise ValueError(f"shard count must be positive, got {shard_count}")
+    assignment = np.fromiter(
+        (shard_of(pair, shard_count) for pair in pairs),
+        dtype=np.int64,
+        count=len(pairs),
+    )
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.cumsum(np.bincount(assignment, minlength=shard_count))
+    return np.split(order, bounds[:-1])
+
+
 def partition_pairs(
     pairs: Iterable[Pair], shard_count: int
 ) -> list[list[Pair]]:
@@ -189,15 +209,13 @@ def partition_pairs(
 
     Every input pair lands in exactly one shard, and each shard
     preserves the input iteration order — feed sorted pairs in and
-    every shard comes out sorted, which is what the merge step relies
-    on.
+    every shard comes out sorted.
     """
-    if shard_count < 1:
-        raise ValueError(f"shard count must be positive, got {shard_count}")
-    shards: list[list[Pair]] = [[] for _ in range(shard_count)]
-    for pair in pairs:
-        shards[shard_of(pair, shard_count)].append(pair)
-    return shards
+    pairs = list(pairs)
+    return [
+        [pairs[position] for position in positions.tolist()]
+        for positions in _shard_positions(pairs, shard_count)
+    ]
 
 
 def resolve_candidates(
@@ -306,8 +324,6 @@ def _shard_tasks(
     """Build per-shard tasks carrying only the records each shard touches."""
     tasks: list[_ShardTask] = []
     for shard in shards:
-        if not shard:
-            continue
         touched: dict[str, Record] = {}
         for first, second in shard:
             if first not in touched:
@@ -332,8 +348,6 @@ def _columnar_shard_tasks(
     """Per-shard tasks shipping column slices instead of record dicts."""
     tasks: list[_ColumnarShardTask] = []
     for shard in shards:
-        if not shard:
-            continue
         touched: dict[str, None] = {}
         for first, second in shard:
             touched.setdefault(first)
@@ -342,30 +356,28 @@ def _columnar_shard_tasks(
     return tasks
 
 
-def _compare_shard_columnar_packed(task: _ColumnarShardTask):
-    """Columnar worker entry point: kernel-score one shard's block.
+def _compare_shard_columnar(task: _ColumnarShardTask):
+    """Columnar worker entry point: the score lanes of one shard's block.
 
-    The comparator still travels once per worker as shared state; the
-    kernel plan is re-derived from it per shard (a few dict lookups).
-    The parent only dispatches columnar tasks when planning succeeded
-    on the identical comparator, so the plan is never ``None`` here.
+    Ships ``(lanes, nulls)`` — one float64 array and one mask per
+    attribute — rather than per-pair rows; the parent scatters them
+    into the batch of the whole candidate set.  The comparator still
+    travels once per worker as shared state; the kernel plan is
+    re-derived from it per shard (a few dict lookups).  The parent only
+    dispatches columnar tasks when planning succeeded on the identical
+    comparator, so the plan is never ``None`` here.
     """
     from repro.engine.executors import shared_state
 
     pairs, store = task
-    plan = plan_for(shared_state())
-    vectors = compare_block(store, pairs, plan)
-    return (
-        "packed",
-        plan.attributes,
-        [(v.pair, tuple(v.values.values())) for v in vectors],
-    )
+    batch = compare_block(store, pairs, plan_for(shared_state()))
+    return batch.lanes, batch.nulls
 
 
 def _compare_shard_columnar_timed(task: _ColumnarShardTask):
-    """Like :func:`_compare_shard_columnar_packed`, with its wall time."""
+    """Like :func:`_compare_shard_columnar`, with its wall time."""
     started = time.perf_counter()
-    payload = _compare_shard_columnar_packed(task)
+    payload = _compare_shard_columnar(task)
     return (time.perf_counter() - started, payload)
 
 
@@ -377,13 +389,15 @@ def compare_pairs_sharded(
     executor=None,
     columnar: bool = True,
     store: ColumnarStore | None = None,
-) -> tuple[list[SimilarityVector], list[str]]:
+) -> tuple[Sequence[SimilarityVector], list[str]]:
     """Similarity vectors of ``candidates``, sharded across processes.
 
     Returns ``(vectors, missing_record_ids)``.  Vectors come back in
     sorted-pair order and are byte-identical to the serial loop;
     ``missing_record_ids`` lists records that disappeared between
-    blocking and scoring (their pairs are skipped).
+    blocking and scoring (their pairs are skipped).  Kernel-scored
+    candidates come back as one :class:`~repro.columnar.PairBatch`,
+    serial or sharded; the scalar loop returns a list.
 
     ``executor`` overrides the executor derived from ``config`` —
     tests inject a :class:`~repro.engine.executors.SerialExecutor` to
@@ -417,13 +431,11 @@ def compare_pairs_sharded(
         or any(record_id not in store for record_id in resolved)
     ):
         store = None
+    if plan is not None and store is None:
+        store = ColumnarStore.from_records(resolved, comparator.attributes)
+        count_store_build()
     if executor is None and not config.engaged(len(ordered)):
         if plan is not None:
-            if store is None:
-                store = ColumnarStore.from_records(
-                    resolved, comparator.attributes
-                )
-                count_store_build()
             return compare_block(store, ordered, plan), missing
         with tracer.span("comparison.serial", pairs=len(ordered)):
             return compare_pairs(resolved, ordered, comparator), missing
@@ -438,7 +450,12 @@ def compare_pairs_sharded(
         shards=config.resolved_shards(),
         columnar=plan is not None,
     ):
-        shards = partition_pairs(ordered, config.resolved_shards())
+        positions = [
+            where
+            for where in _shard_positions(ordered, config.resolved_shards())
+            if len(where)
+        ]
+        shards = [[ordered[i] for i in where.tolist()] for where in positions]
         _LOG.debug(
             "dispatching %d pairs across %d shards (columnar=%s)",
             len(ordered),
@@ -446,14 +463,9 @@ def compare_pairs_sharded(
             plan is not None,
         )
         if plan is not None:
-            if store is None:
-                store = ColumnarStore.from_records(
-                    resolved, comparator.attributes
-                )
-                count_store_build()
             tasks: Sequence = _columnar_shard_tasks(shards, store)
             worker, worker_timed = (
-                _compare_shard_columnar_packed,
+                _compare_shard_columnar,
                 _compare_shard_columnar_timed,
             )
         else:
@@ -474,7 +486,30 @@ def compare_pairs_sharded(
                 payloads.append(payload)
         else:
             payloads = executor.map(worker, tasks, shared=comparator)
-        shard_vectors = [_unpack_shard(payload) for payload in payloads]
-        # Each shard is sorted by pair (partitioning preserved the global
-        # sorted order), so a k-way merge reproduces the serial order.
-        return list(merge(*shard_vectors, key=lambda v: v.pair)), missing
+        # Each shard holds its pairs in global sorted order, so
+        # scattering shard outputs back to their positions reproduces
+        # the serial scan.
+        if plan is not None:
+            return _merge_lanes(store, ordered, plan.attributes, positions,
+                                payloads), missing
+        vectors: list = [None] * len(ordered)
+        for where, payload in zip(positions, payloads):
+            for position, vector in zip(where.tolist(), _unpack_shard(payload)):
+                vectors[position] = vector
+        return vectors, missing
+
+
+def _merge_lanes(store, ordered, attributes, positions, payloads) -> PairBatch:
+    """One batch over ``ordered`` from the shards' ``(lanes, nulls)``."""
+    lanes = [np.zeros(len(ordered)) for _ in attributes]
+    nulls = [np.zeros(len(ordered), dtype=bool) for _ in attributes]
+    for where, (shard_lanes, shard_nulls) in zip(positions, payloads):
+        for lane, null, shard_lane, shard_null in zip(
+            lanes, nulls, shard_lanes, shard_nulls
+        ):
+            lane[where] = shard_lane
+            null[where] = shard_null
+    rows_a, rows_b = store_rows(store, ordered)
+    return PairBatch(
+        ordered, rows_a, rows_b, store.row_ids, attributes, lanes, nulls
+    )

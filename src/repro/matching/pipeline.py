@@ -19,11 +19,20 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+from repro.columnar.batch import (
+    PairBatch,
+    ScoredBatch,
+    accepted_pairs,
+    closure_matches,
+)
 from repro.core.experiment import Experiment, Match
 from repro.core.pairs import Pair, ScoredPair
 from repro.core.records import Dataset, Record
 from repro.matching.attribute_matching import AttributeComparator, SimilarityVector
-from repro.matching.clustering_algorithms import CLUSTERING_ALGORITHMS
+from repro.matching.clustering_algorithms import (
+    CLUSTERING_ALGORITHMS,
+    connected_components,
+)
 from repro.matching.fusion import fuse_dataset
 from repro.matching.parallel import ParallelConfig, compare_pairs_sharded
 from repro.telemetry import metrics as _telemetry_metrics
@@ -107,13 +116,22 @@ class PipelineRun:
     generation quality), ``scored_pairs`` at any threshold (decision
     model quality), and the final ``experiment`` (overall quality) —
     exactly the inter-stage measurements Frost advocates (§1.2).
+
+    ``vectors`` and ``scored_pairs`` are sequences in sorted pair
+    order.  When the comparison ran on batch kernels they are lazy
+    views — a :class:`~repro.columnar.PairBatch` of score lanes and,
+    for the ``mean_similarity`` decision model, a
+    :class:`~repro.columnar.ScoredBatch` of scores — that build
+    :class:`SimilarityVector` / :class:`ScoredPair` objects only when
+    indexed or iterated, and equal the lists the row-by-row path
+    returns.  Otherwise they are plain lists.
     """
 
     dataset: Dataset
     prepared: Dataset
     candidates: set[Pair]
     vectors: Sequence[SimilarityVector]
-    scored_pairs: list[ScoredPair]
+    scored_pairs: Sequence[ScoredPair]
     experiment: Experiment
     fused: Dataset | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -269,7 +287,7 @@ class MatchingPipeline:
 
     def compare_candidates(
         self, prepared: Dataset, candidates: set[Pair]
-    ) -> list[SimilarityVector]:
+    ) -> Sequence[SimilarityVector]:
         """Step 3 — similarity vectors of the candidate pairs.
 
         Candidates are visited in sorted order, so vector/score lists —
@@ -278,6 +296,10 @@ class MatchingPipeline:
         ``prepared`` only needs item access by record id, which lets
         the streaming subsystem reuse this stage over its live record
         registry without materializing a :class:`Dataset`.
+
+        Kernel-scored candidates come back as a
+        :class:`~repro.columnar.PairBatch` (score lanes read as a lazy
+        sequence of vectors); the scalar loop returns a list.
 
         With :attr:`parallelism` configured, large candidate sets are
         partitioned into deterministic shards and scored on a process
@@ -310,33 +332,62 @@ class MatchingPipeline:
 
     def score_vectors(
         self, vectors: Sequence[SimilarityVector]
-    ) -> list[ScoredPair]:
-        """Step 4 — decision-model scores of the similarity vectors."""
+    ) -> Sequence[ScoredPair]:
+        """Step 4 — decision-model scores of the similarity vectors.
+
+        The built-in ``mean_similarity`` model (recognized by identity)
+        scores a :class:`~repro.columnar.PairBatch` as lane arithmetic
+        and returns a :class:`~repro.columnar.ScoredBatch` view; every
+        other model, and every other input, is scored row by row into a
+        list.  Both give the same scores, bit for bit.
+        """
+        from repro.streaming.session import mean_similarity
+
         with _tracing.span("pipeline.decision", vectors=len(vectors)):
+            if self.decision_model is mean_similarity and isinstance(
+                vectors, PairBatch
+            ):
+                return ScoredBatch(vectors, vectors.mean_scores())
             return [
                 ScoredPair(score=self.decision_model(vector), pair=vector.pair)
                 for vector in vectors
             ]
 
     def _cluster(self, scored_pairs: Sequence[ScoredPair]):
-        """Step 5 — threshold, cluster, and assemble the experiment."""
+        """Step 5 — threshold, cluster, and assemble the experiment.
+
+        A :class:`~repro.columnar.ScoredBatch` is thresholded in one
+        vectorized comparison; under ``connected_components`` its
+        accepted rows are clustered on their integer row ids and each
+        match is built once, in sorted pair order.  Other clustering
+        algorithms receive the accepted :class:`ScoredPair` objects.
+        """
         with _tracing.span(
             "pipeline.clustering", scored=len(scored_pairs)
         ) as span:
-            accepted = [sp for sp in scored_pairs if sp.score >= self.threshold]
-            clustering = self.clustering(accepted)
-            accepted_set = {sp.pair for sp in accepted}
-            score_of = {sp.pair: sp.score for sp in accepted}
-            matches = []
-            for pair in sorted(clustering.pairs()):
-                matches.append(
-                    Match(
-                        pair=pair,
-                        score=score_of.get(pair),
-                        from_clustering=pair not in accepted_set,
+            if (
+                isinstance(scored_pairs, ScoredBatch)
+                and self.clustering is connected_components
+            ):
+                accepted_mask = scored_pairs.scores >= self.threshold
+                clustering, matches = closure_matches(scored_pairs, accepted_mask)
+                accepted_count = int(accepted_mask.sum())
+            else:
+                accepted = accepted_pairs(scored_pairs, self.threshold)
+                clustering = self.clustering(accepted)
+                accepted_set = {sp.pair for sp in accepted}
+                score_of = {sp.pair: sp.score for sp in accepted}
+                matches = []
+                for pair in sorted(clustering.pairs()):
+                    matches.append(
+                        Match(
+                            pair=pair,
+                            score=score_of.get(pair),
+                            from_clustering=pair not in accepted_set,
+                        )
                     )
-                )
-            span.annotate(accepted=len(accepted), matches=len(matches))
+                accepted_count = len(accepted)
+            span.annotate(accepted=accepted_count, matches=len(matches))
             _MATCHES_ACCEPTED.inc(len(matches))
             experiment = Experiment(
                 matches,
@@ -562,9 +613,10 @@ class MatchingPipeline:
         pairs have a similarity score assigned").
         """
         run = self.run(dataset)
-        pairs = run.scored_pairs if keep_all else [
-            sp for sp in run.scored_pairs if sp.score >= self.threshold
-        ]
+        pairs = (
+            run.scored_pairs if keep_all
+            else accepted_pairs(run.scored_pairs, self.threshold)
+        )
         return Experiment(
             (Match(pair=sp.pair, score=sp.score) for sp in pairs),
             name=f"{self.name}-scored",

@@ -36,11 +36,28 @@ __all__ = [
     "numeric_similarity",
     "TfIdfCosine",
     "SIMILARITY_FUNCTIONS",
+    "ordered_sum",
 ]
 
 Similarity = Callable[[str, str], float]
 
 _TOKEN_PATTERN = re.compile(r"\w+")
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum ``values`` by plain left-to-right float addition.
+
+    Every float sum on the scoring path goes through here, because
+    ``sum()`` does not pin the rounding: CPython 3.12 made it
+    compensated (Neumaier) over floats, which changes the last bits of
+    some means and so which pairs clear a threshold.  A plain
+    accumulation rounds after every addition on every version, which is
+    also the order the columnar lane arithmetic reproduces.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def exact(first: str, second: str) -> float:
@@ -259,7 +276,7 @@ def monge_elkan(
             return 1.0 if not tokens_b else 0.0
         if not tokens_b:
             return 0.0
-        return sum(
+        return ordered_sum(
             max(inner(token_a, token_b) for token_b in tokens_b)
             for token_a in tokens_a
         ) / len(tokens_a)
@@ -396,7 +413,7 @@ class TfIdfCosine:
                 token: count * self._weight(token)
                 for token, count in counts.items()
             }
-            norm = math.sqrt(sum(w * w for w in vector.values()))
+            norm = math.sqrt(ordered_sum(w * w for w in vector.values()))
             cached = (vector, norm)
             if len(self._vector_cache) < 131072:
                 self._vector_cache[value] = cached
@@ -438,7 +455,7 @@ class TfIdfCosine:
             return 1.0
         if norm_a == 0.0 or norm_b == 0.0:
             return 0.0
-        dot = sum(
+        dot = ordered_sum(
             weight * vector_b.get(token, 0.0) for token, weight in vector_a.items()
         )
         # Clamp the last-ulp overshoot of fl(sqrt(s))² < s: for some

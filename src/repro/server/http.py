@@ -57,6 +57,10 @@ _SLO_MS = {
 }
 _DEFAULT_SLO_MS = 500.0
 
+# Largest POST body the server reads; a larger declared Content-Length
+# is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 def _endpoint_family(path: str) -> str:
     segment = next((part for part in path.split("/") if part), "")
@@ -131,8 +135,25 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
             self._serve("DELETE", None)
 
         def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-            """Serve one API POST request (JSON body) — job submission."""
-            length = int(self.headers.get("Content-Length") or 0)
+            """Serve one API POST request (JSON body) — job submission.
+
+            A ``Content-Length`` that is not a non-negative integer gets
+            a 400, and one above :data:`MAX_BODY_BYTES` a 413 without
+            the body being read; both close the connection, since the
+            unread body would otherwise be parsed as the next request.
+            """
+            declared = (self.headers.get("Content-Length") or "0").strip()
+            if not (declared.isascii() and declared.isdigit()):
+                self._reject(400, f"invalid Content-Length {declared!r}")
+                return
+            length = int(declared)
+            if length > MAX_BODY_BYTES:
+                self._reject(
+                    413,
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                )
+                return
             raw = self.rfile.read(length) if length else b""
             try:
                 body = json.loads(raw) if raw else None
@@ -213,10 +234,21 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
                 },
             )
 
-        def _respond(self, status: int, payload: object) -> None:
+        def _reject(self, status: int, message: str) -> None:
+            """Answer a malformed request with a JSON error and hang up."""
+            self._respond(
+                status, {"error": message, "status": status}, close=True
+            )
+
+        def _respond(
+            self, status: int, payload: object, close: bool = False
+        ) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            if close:
+                # also sets close_connection, ending the keep-alive loop
+                self.send_header("Connection", "close")
             self._send_common_headers(len(body))
             self.wfile.write(body)
 

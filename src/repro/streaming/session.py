@@ -28,6 +28,7 @@ import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.columnar.batch import accepted_pairs
 from repro.core.clustering import Clustering
 from repro.core.experiment import Experiment, Match
 from repro.core.pairs import ScoredPair, make_pair
@@ -67,7 +68,10 @@ def mean_similarity(vector: SimilarityVector) -> float:
     """Decision model: mean of the non-missing attribute similarities.
 
     A module-level function (not a lambda) so sessions built from JSON
-    configs stay content-fingerprintable by the engine.
+    configs stay content-fingerprintable by the engine; its qualified
+    name is part of their cache keys, so it stays here.
+    :meth:`MatchingPipeline.score_vectors` recognizes it by identity and
+    computes it as lane arithmetic on kernel-scored batches.
     """
     return vector.mean()
 
@@ -383,9 +387,7 @@ class StreamingMatcher:
             _PreparedView(self._prepared), delta.pairs
         )
         scored = self.pipeline.score_vectors(vectors)
-        accepted = [
-            sp for sp in scored if sp.score >= self.pipeline.threshold
-        ]
+        accepted = accepted_pairs(scored, self.pipeline.threshold)
 
         # Step 5, incrementally: fold accepted matches into the
         # persistent union-find (connected components maintenance).

@@ -6,11 +6,13 @@ import os
 
 import pytest
 
+from repro.engine import executors
 from repro.engine.executors import (
     ProcessExecutor,
     SerialExecutor,
     executor_for,
 )
+from repro.telemetry.metrics import get_metrics
 
 
 def _square(value: int) -> int:
@@ -130,6 +132,62 @@ def test_pool_failure_falls_back_to_serial(monkeypatch, caplog):
         )
     assert results == [1, 4, 9]
     assert any("serially" in message for message in caplog.messages)
+
+
+def _fail(value: int) -> int:
+    raise ValueError(f"task {value} is broken")
+
+
+def _die_in_worker(task: tuple[int, int]) -> int:
+    """Kill the pool worker running it; succeed in the parent process."""
+    parent, value = task
+    if os.getpid() != parent:
+        os._exit(1)
+    return value
+
+
+def _fallbacks() -> float:
+    return get_metrics().counter("frost_executor_fallback_total").value
+
+
+def test_task_error_propagates_without_serial_rerun(monkeypatch):
+    """A task's own exception is not a pool failure: no second run."""
+
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("a task error must not rerun the shards serially")
+
+    monkeypatch.setattr(executors.SerialExecutor, "map", no_rerun)
+    before = _fallbacks()
+    with pytest.raises(ValueError, match="is broken"):
+        ProcessExecutor(workers=2).map(_fail, [1, 2, 3])
+    assert _fallbacks() == before
+
+
+def test_broken_pool_falls_back_and_is_counted():
+    before = _fallbacks()
+    tasks = [(os.getpid(), value) for value in range(4)]
+    assert ProcessExecutor(workers=2).map(_die_in_worker, tasks) == [0, 1, 2, 3]
+    assert _fallbacks() == before + 1
+
+
+def test_unpicklable_shared_state_falls_back_and_is_counted():
+    before = _fallbacks()
+    shared = lambda: None  # noqa: E731 - unpicklable on purpose
+    results = ProcessExecutor(workers=2).map(
+        _read_shared_in_worker, [1, 2], shared=shared
+    )
+    assert results == [shared, shared]
+    assert _fallbacks() == before + 1
+
+
+def test_fallback_counter_has_help_line():
+    from repro.telemetry.export import render_prometheus
+
+    exposition = render_prometheus(get_metrics())
+    assert (
+        "# HELP frost_executor_fallback_total Process-pool shard maps rerun"
+        in exposition
+    )
 
 
 def test_executor_for_dispatch():

@@ -294,6 +294,95 @@ class TestPipelineJobs:
         )["p2"]
         assert rerun.cached is True
 
+    @pytest.fixture
+    def lane_pipeline(self):
+        """A JSON-configured pipeline: kernels plus ``mean_similarity``."""
+        from repro.streaming import build_pipeline_and_index
+
+        pipeline, _ = build_pipeline_and_index({
+            "key": {"kind": "first_token", "attribute": "last_name"},
+            "similarities": {"first_name": "jaro_winkler",
+                             "last_name": "jaro_winkler"},
+            "threshold": 0.8,
+        })
+        return pipeline
+
+    @pytest.fixture
+    def person_platform(self):
+        from repro.datagen import make_person_benchmark
+
+        benchmark = make_person_benchmark(150, seed=9)
+        platform = FrostPlatform()
+        platform.add_dataset(benchmark.dataset)
+        return platform
+
+    @staticmethod
+    def _count_deserializations(monkeypatch):
+        from repro.engine import runner
+
+        calls = []
+        original = runner.deserialize_experiment
+
+        def counting(payload):
+            calls.append(payload["name"])
+            return original(payload)
+
+        monkeypatch.setattr(runner, "deserialize_experiment", counting)
+        return calls
+
+    @staticmethod
+    def _facts(experiment):
+        return (experiment.name, experiment.solution, experiment.metadata,
+                experiment.matches)
+
+    @pytest.mark.parametrize("which", ["pipeline", "lane_pipeline"])
+    def test_computed_job_registers_its_live_experiment(
+        self, request, person_platform, monkeypatch, which
+    ):
+        from repro.engine.runner import serialize_experiment
+
+        pipeline = request.getfixturevalue(which)
+        dataset = person_platform.dataset_names()[0]
+        calls = self._count_deserializations(monkeypatch)
+        engine = ExperimentEngine(person_platform)
+        result = engine.run(
+            [JobSpec("pipeline", {"pipeline": pipeline, "dataset": dataset,
+                                  "register_as": "live"}, job_id="p")]
+        )["p"]
+        assert result.state is JobState.SUCCEEDED and not result.cached
+        assert calls == []
+        registered = person_platform.experiment(dataset, "live")
+        direct = pipeline.run(person_platform.dataset(dataset)).experiment
+        assert registered.matches == direct.matches
+        # the cached payload keeps its format, under the pipeline's name
+        payload = serialize_experiment(registered)
+        assert result.value["matches"] == payload["matches"]
+        assert result.value["name"] == pipeline.name
+        assert result.value["metadata"] == registered.metadata
+
+    def test_store_cache_hit_deserializes_an_equal_experiment(
+        self, lane_pipeline, person_platform, monkeypatch, tmp_path
+    ):
+        dataset = person_platform.dataset_names()[0]
+        spec = {"pipeline": lane_pipeline, "dataset": dataset}
+        with FrostStore(tmp_path / "cache.db") as store:
+            ExperimentEngine(person_platform, store=store).run(
+                [JobSpec("pipeline", dict(spec), job_id="cold")]
+            )
+        name = lane_pipeline.name
+        computed = person_platform.experiment(dataset, name)
+        calls = self._count_deserializations(monkeypatch)
+        fresh = FrostPlatform()
+        fresh.add_dataset(person_platform.dataset(dataset))
+        with FrostStore(tmp_path / "cache.db") as store:
+            result = ExperimentEngine(fresh, store=store).run(
+                [JobSpec("pipeline", dict(spec), job_id="warm")]
+            )["warm"]
+        assert result.cached and calls == [name]
+        assert self._facts(fresh.experiment(dataset, name)) == self._facts(
+            computed
+        )
+
     def test_pipeline_as_job_graph_matches_direct_run(self, engine, pipeline):
         direct = pipeline.run(engine.platform.dataset("people")).experiment
         graph = pipeline.as_job_graph("people", prefix="graph", register=False)

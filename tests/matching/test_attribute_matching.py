@@ -68,6 +68,11 @@ class TestSimilarityVector:
         vector = SimilarityVector(pair=("a", "b"), values={"x": None})
         assert vector.mean() == 0.0
 
+    def test_mean_sums_left_to_right(self):
+        # CPython 3.12's compensated sum() gives 0.19999999999999998
+        vector = SimilarityVector(("a", "b"), {"x": 0.1, "y": 0.2, "z": 0.3})
+        assert vector.mean() == (0.1 + 0.2 + 0.3) / 3
+
 
 class TestComparePairs:
     def test_deterministic_order(self):

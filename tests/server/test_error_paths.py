@@ -7,6 +7,7 @@ document with the matching status code.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.platform import FrostPlatform
 from repro.server.api import ApiError, FrostApi
-from repro.server.http import FrostHttpServer
+from repro.server.http import MAX_BODY_BYTES, FrostHttpServer
 
 
 @pytest.fixture
@@ -171,3 +172,49 @@ class TestHttpErrorTranslation:
             document = json.loads(excinfo.value.read())
             assert document["status"] == 500
             assert "RuntimeError" in document["error"]
+
+
+class TestContentLength:
+    """Malformed or oversized ``Content-Length`` headers on POST."""
+
+    @pytest.fixture
+    def server(self, api):
+        with FrostHttpServer(api, port=0) as server:
+            yield server
+
+    def _exchange(self, server, content_length):
+        """Send a bodiless POST; return (status, document, closed)."""
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {content_length}\r\n\r\n".encode()
+            )
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk  # a closed connection ends the loop
+        head, _, body = received.partition(b"\r\n\r\n")
+        status = int(head.split()[1])
+        return status, json.loads(body), b"connection: close" in head.lower()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "0x10", "\u00b2"])
+    def test_malformed_length_is_400_and_closes(self, server, value):
+        status, document, closed = self._exchange(server, value)
+        assert status == 400
+        assert document["status"] == 400
+        assert "Content-Length" in document["error"]
+        assert closed
+
+    def test_oversized_length_is_413_without_reading_the_body(self, server):
+        # No body follows: reading it would block until the handler's
+        # idle timeout instead of answering at once.
+        status, document, closed = self._exchange(server, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert document["status"] == 413
+        assert closed
+
+    def test_server_keeps_serving_after_a_rejection(self, server):
+        self._exchange(server, "abc")
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{server.port}/datasets", timeout=5
+        ) as response:
+            assert response.status == 200
