@@ -321,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--workers 0 when given alone)",
     )
     stream_init.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="score deltas with the scalar per-pair loop instead of the "
-             "columnar batch kernels (output is identical either way)",
-    )
-    stream_init.add_argument(
         "--blocking-storage",
         choices=("memory", "disk"),
         default=None,
@@ -361,11 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the stream's comparison shard count for this ingest",
-    )
-    stream_ingest.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="disable columnar batch-kernel scoring for this ingest",
     )
 
     stream_snapshot = stream_commands.add_parser(
@@ -540,12 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="comparison shard count (default: 4 x workers)",
-    )
-    trace.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="trace the scalar comparison loop instead of the columnar "
-             "batch kernels",
     )
     trace.add_argument(
         "--blocking-storage",
@@ -1013,8 +996,6 @@ def _stream_config_from_args(args: argparse.Namespace) -> dict:
         parallelism["shards"] = args.shards
     if parallelism:
         config["parallelism"] = parallelism
-    if getattr(args, "no_columnar", False):
-        config["columnar"] = False
     if getattr(args, "blocking_storage", None):
         config["blocking_storage"] = args.blocking_storage
     if getattr(args, "graph", False):
@@ -1047,8 +1028,6 @@ def _command_stream_ingest(args: argparse.Namespace, fmt: CsvFormat) -> int:
             session.pipeline = session.pipeline.with_parallelism(
                 workers=args.workers, shards=args.shards
             )
-        if args.no_columnar:
-            session.pipeline = session.pipeline.with_columnar(False)
         batch = _load_dataset(args.dataset, args.id_column, fmt)
         snapshot = session.ingest(batch)
         print(
@@ -1227,8 +1206,6 @@ def _command_trace(args: argparse.Namespace, fmt: CsvFormat) -> int:
             pipeline = pipeline.with_parallelism(
                 workers=args.workers, shards=args.shards, min_pairs=0
             )
-        if args.no_columnar:
-            pipeline = pipeline.with_columnar(False)
 
         engine = ExperimentEngine(platform, max_workers=2)
         with tracer.span(
@@ -1297,7 +1274,6 @@ def _command_trace(args: argparse.Namespace, fmt: CsvFormat) -> int:
                     "records": len(dataset),
                     "workers": args.workers,
                     "shards": args.shards,
-                    "columnar": not args.no_columnar,
                     "repeat": args.repeat,
                 },
             )

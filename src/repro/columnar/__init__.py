@@ -12,7 +12,13 @@ README § "Columnar comparison kernels".
 """
 
 from repro.columnar.batch import PairBatch, ScoredBatch, accepted_pairs
-from repro.columnar.compare import compare_block, count_fallback, count_store_build
+from repro.columnar.compare import (
+    compare_block,
+    count_fallback,
+    count_kernel_work,
+    count_store_build,
+    score_block,
+)
 from repro.columnar.kernels import Kernel, KernelPlan, kernel_for, plan_for
 from repro.columnar.store import NULL_VID, ColumnarStore
 
@@ -24,9 +30,11 @@ __all__ = [
     "kernel_for",
     "plan_for",
     "compare_block",
+    "score_block",
     "PairBatch",
     "ScoredBatch",
     "accepted_pairs",
     "count_fallback",
+    "count_kernel_work",
     "count_store_build",
 ]

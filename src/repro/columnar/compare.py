@@ -36,7 +36,7 @@ from repro.core.pairs import Pair
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import span
 
-__all__ = ["compare_block"]
+__all__ = ["compare_block", "score_block"]
 
 _KERNEL_PAIRS = get_metrics().counter(
     "frost_kernel_pairs_total",
@@ -48,7 +48,7 @@ _KERNEL_DISTINCT = get_metrics().counter(
 )
 _KERNEL_FALLBACK = get_metrics().counter(
     "frost_kernel_fallback_pairs_total",
-    "Candidate pairs scored via the scalar fallback (no kernel plan)",
+    "Candidate pairs scored by the serial row loop (no kernel plan)",
 )
 _STORE_BUILDS = get_metrics().counter(
     "frost_kernel_store_builds_total",
@@ -62,9 +62,16 @@ def count_store_build() -> None:
 
 
 def count_fallback(pairs: int) -> None:
-    """Record candidate pairs that took the scalar fallback path."""
+    """Record candidate pairs that took the serial row loop."""
     if pairs:
         _KERNEL_FALLBACK.inc(pairs)
+
+
+def count_kernel_work(pairs: int, distinct: int) -> None:
+    """Record pairs and distinct value pairs the kernels scored."""
+    _KERNEL_PAIRS.inc(pairs)
+    if distinct:
+        _KERNEL_DISTINCT.inc(distinct)
 
 
 def compare_block(
@@ -76,7 +83,21 @@ def compare_block(
 
     ``pairs`` must already be canonical (:func:`repro.core.pairs.make_pair`)
     and ordered by the caller; the i-th vector of the returned batch
-    belongs to the i-th pair.
+    belongs to the i-th pair.  Counts its work in ``frost_kernel_*``.
+    """
+    batch, distinct = score_block(store, pairs, plan)
+    count_kernel_work(len(pairs), distinct)
+    return batch
+
+
+def score_block(
+    store: ColumnarStore,
+    pairs: Sequence[Pair],
+    plan: KernelPlan,
+) -> tuple[PairBatch, int]:
+    """:func:`compare_block` without counting: the batch and its count
+    of distinct (attribute, value-pair) scores, which a shard worker
+    returns so the parent process counts it.
     """
     with span(
         "comparison.columnar",
@@ -106,9 +127,6 @@ def compare_block(
                 distinct_total += len(unique)
             lanes.append(lane)
             nulls.append(~present)
-        _KERNEL_PAIRS.inc(len(pairs))
-        if distinct_total:
-            _KERNEL_DISTINCT.inc(distinct_total)
         return PairBatch(
             pairs, rows_a, rows_b, store.row_ids, plan.attributes, lanes, nulls
-        )
+        ), distinct_total

@@ -20,12 +20,17 @@ scalar counterpart in :mod:`repro.matching.similarity`:
   similarity across the whole corpus vocabulary;
 * the TF-IDF cosine kernel walks precomputed sparse id-weight arrays
   in the exact insertion order the scalar dot product uses, so even
-  the float summation order matches.
+  the float summation order matches;
+* any other measure runs on a generic :class:`MemoizedKernel` over the
+  function itself, which scores each distinct value pair of a block
+  once — identical to the row loop for the pure ``(str, str) -> float``
+  functions the :data:`~repro.matching.similarity.Similarity` type
+  describes.
 
-:func:`plan_for` inspects an
-:class:`~repro.matching.attribute_matching.AttributeComparator` and
-returns a :class:`KernelPlan` when *every* configured measure has a
-kernel — otherwise the caller falls back to the scalar loop.
+:func:`plan_for` maps every exact
+:class:`~repro.matching.attribute_matching.AttributeComparator` onto a
+:class:`KernelPlan`; only subclassed or duck-typed comparators get
+``None`` and are scored by the caller's serial row loop.
 """
 
 from __future__ import annotations
@@ -396,7 +401,7 @@ class TfIdfKernel(Kernel):
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """The per-attribute kernels of one fully kernelizable comparator."""
+    """The per-attribute kernels of one :class:`AttributeComparator`."""
 
     attributes: tuple[str, ...]
     kernels: tuple[Kernel, ...]
@@ -428,7 +433,7 @@ _KERNEL_BUILDERS = _builders()
 
 
 def kernel_for(function) -> Kernel | None:
-    """The batch kernel equivalent to one similarity function, if any.
+    """The dedicated batch kernel of one similarity function, if any.
 
     Matches the *built-in* measures by function identity (a wrapped or
     partially-applied variant could behave differently, so it gets no
@@ -448,19 +453,19 @@ def kernel_for(function) -> Kernel | None:
 def plan_for(comparator) -> KernelPlan | None:
     """A :class:`KernelPlan` for ``comparator``, or ``None``.
 
-    Only exact :class:`AttributeComparator` instances qualify (a
-    subclass may override ``compare``), and only when every configured
-    attribute maps to a kernelizable measure — partial kernelization
-    would split one pair's scoring across two code paths for no gain.
+    Every exact :class:`AttributeComparator` gets a plan: measures
+    without a dedicated kernel (:func:`kernel_for`) run on a generic
+    :class:`MemoizedKernel` over the function itself.  A subclass may
+    override ``compare`` and a duck-typed comparator has no
+    ``functions`` to plan from, so both get ``None``.
     """
     if type(comparator) is not AttributeComparator:
         return None
-    attributes: list[str] = []
-    kernels: list[Kernel] = []
-    for attribute, function in comparator.functions.items():
-        kernel = kernel_for(function)
-        if kernel is None:
-            return None
-        attributes.append(attribute)
-        kernels.append(kernel)
-    return KernelPlan(attributes=tuple(attributes), kernels=tuple(kernels))
+    functions = comparator.functions
+    return KernelPlan(
+        attributes=tuple(functions),
+        kernels=tuple(
+            kernel_for(function) or MemoizedKernel("custom", function)
+            for function in functions.values()
+        ),
+    )

@@ -721,15 +721,12 @@ class ExperimentEngine:
     def _configured_pipeline(cls, params: Mapping[str, object]):
         """The job's pipeline with execution params applied.
 
-        ``blocker``/``workers``/``shards``/``columnar``/
-        ``blocking_storage`` are execution knobs: like the pipeline
-        attributes they override, none of them participates in the
-        job's cache key (the output cannot depend on them).
+        ``blocker``/``workers``/``shards``/``blocking_storage`` are
+        execution knobs: like the pipeline attributes they override,
+        none of them participates in the job's cache key (the output
+        cannot depend on them).
         """
         pipeline = cls._selected_pipeline(params)
-        columnar = params.get("columnar")
-        if columnar is not None:
-            pipeline = pipeline.with_columnar(bool(columnar))
         blocking_storage = params.get("blocking_storage")
         if blocking_storage is not None:
             pipeline = pipeline.with_blocking_storage(str(blocking_storage))

@@ -13,14 +13,18 @@ produced — the parallel path is **byte-identical** to
 * shard assignment hashes the canonical pair with CRC-32 (stable
   across processes, platforms, and ``PYTHONHASHSEED``), so the same
   input always yields the same shards;
-* each shard receives only the records its pairs touch (compact
-  per-shard serialization instead of shipping the whole dataset to
-  every worker);
-* every shard scores its pairs in sorted order, and the per-shard
-  outputs are scattered back to their pairs' positions in the global
-  sorted order — vector *values* are unaffected because the similarity
-  functions are pure.  Kernel-scored shards ship their score lanes
-  back and merge into one :class:`~repro.columnar.PairBatch`.
+* each shard receives only the column slice of the records its pairs
+  touch (:meth:`~repro.columnar.ColumnarStore.slice`) instead of the
+  whole dataset;
+* every shard scores its pairs in sorted order with the batch kernels
+  of :mod:`repro.columnar`, and ships its score lanes back to be
+  scattered to their pairs' positions in the global sorted order of
+  one :class:`~repro.columnar.PairBatch` — vector *values* are
+  unaffected because the similarity functions are pure.
+
+Comparators the kernels cannot plan (subclasses and duck-typed
+objects, see :func:`repro.columnar.plan_for`) are scored by the serial
+row loop, whatever the parallelism settings.
 
 Because the output cannot differ, the parallelism knob deliberately
 stays **out** of :meth:`MatchingPipeline.config_fingerprint`: the
@@ -43,8 +47,10 @@ from repro.columnar import (
     PairBatch,
     compare_block,
     count_fallback,
+    count_kernel_work,
     count_store_build,
     plan_for,
+    score_block,
 )
 from repro.columnar.batch import store_rows
 from repro.core.pairs import Pair
@@ -66,7 +72,6 @@ _PAIRS_COMPARED = _telemetry_metrics.get_metrics().counter(
 
 __all__ = [
     "ParallelConfig",
-    "COLUMNAR_MIN_PAIRS",
     "shard_of",
     "partition_pairs",
     "resolve_candidates",
@@ -76,9 +81,6 @@ __all__ = [
 # Below this many pairs a fork + pickle round-trip costs more than the
 # comparisons it saves; the pipeline falls back to the serial loop.
 DEFAULT_MIN_PAIRS = 2048
-# Below this many pairs building a columnar store costs more than the
-# per-pair function calls it batches away; the scalar loop wins.
-COLUMNAR_MIN_PAIRS = 32
 # Shards per worker: more shards than workers smooths skew (a shard
 # that happens to hold long values does not straggle the whole batch).
 SHARDS_PER_WORKER = 4
@@ -248,96 +250,14 @@ def resolve_candidates(
     return ordered, resolved, sorted(missing)
 
 
-# One shard of work, shipped to a worker process: (pairs, the records
-# those pairs touch).  The comparator is NOT part of the task — it is
-# identical for every shard, so the executor ships it once per worker
-# as shared state instead of pickling it into all ~4×workers tasks
-# (a fitted TfIdfCosine carries corpus-wide statistics).
-_ShardTask = tuple[Sequence[Pair], dict[str, Record]]
-
-
-# Packed wire format for shard results: pickling 50k frozen-dataclass
-# vectors costs ~4x what the equivalent (pair, value-tuple) rows do, and
-# the per-vector attribute keys are redundant when every vector of a
-# shard shares one schema (the AttributeComparator case).  Rebuilding
-# the vectors in the parent is cheaper than unpickling them.
-
-
-def _compare_shard_packed(task: _ShardTask):
-    """Worker entry point returning the compact wire form of a shard.
-
-    Module-level (picklable by reference); reads the comparator from
-    the executor's per-worker shared state.
-    """
-    from repro.engine.executors import shared_state
-
-    pairs, records = task
-    # compare_pairs only needs item access by id and preserves sequence
-    # order — the same scoring loop the batch surface uses.
-    vectors = compare_pairs(records, pairs, shared_state())
-    if not vectors:
-        return ("raw", None, [])
-    attributes = tuple(vectors[0].values.keys())
-    # Only exact SimilarityVector instances may be packed: a subclass
-    # (extra fields, overridden behaviour) would be silently rebuilt as
-    # the base class, breaking serial/parallel identity.
-    if all(
-        type(v) is SimilarityVector and tuple(v.values.keys()) == attributes
-        for v in vectors
-    ):
-        return (
-            "packed",
-            attributes,
-            [(v.pair, tuple(v.values.values())) for v in vectors],
-        )
-    return ("raw", None, vectors)  # schema varies: ship as-is
-
-
-def _compare_shard_timed(task: _ShardTask):
-    """Like :func:`_compare_shard_packed`, prefixed with its wall time.
-
-    Used only while tracing is enabled: a pool worker cannot reach the
-    parent's span tree, so it times itself and the parent folds the
-    measurement back in as one completed child span per shard
-    (:meth:`~repro.telemetry.spans.Tracer.record`).
-    """
-    started = time.perf_counter()
-    payload = _compare_shard_packed(task)
-    return (time.perf_counter() - started, payload)
-
-
-def _unpack_shard(payload) -> list[SimilarityVector]:
-    """Rebuild a shard's vectors from the packed wire form."""
-    tag, attributes, rows = payload
-    if tag == "raw":
-        return rows
-    return [
-        SimilarityVector(pair=pair, values=dict(zip(attributes, values)))
-        for pair, values in rows
-    ]
-
-
-def _shard_tasks(
-    shards: Sequence[Sequence[Pair]],
-    records: dict[str, Record],
-) -> list[_ShardTask]:
-    """Build per-shard tasks carrying only the records each shard touches."""
-    tasks: list[_ShardTask] = []
-    for shard in shards:
-        touched: dict[str, Record] = {}
-        for first, second in shard:
-            if first not in touched:
-                touched[first] = records[first]
-            if second not in touched:
-                touched[second] = records[second]
-        tasks.append((shard, touched))
-    return tasks
-
-
 # Columnar shard of work: (pairs, the column *slice* those pairs touch).
 # Slices re-intern down to the values the shard references, so the wire
 # payload is two int arrays + a compact string pool per attribute
-# instead of one dict per record.
+# instead of one dict per record.  The comparator is NOT part of the
+# task — it is identical for every shard, so the executor ships it once
+# per worker as shared state instead of pickling it into all
+# ~4×workers tasks (a fitted TfIdfCosine carries corpus-wide
+# statistics).
 _ColumnarShardTask = tuple[Sequence[Pair], ColumnarStore]
 
 
@@ -357,11 +277,13 @@ def _columnar_shard_tasks(
 
 
 def _compare_shard_columnar(task: _ColumnarShardTask):
-    """Columnar worker entry point: the score lanes of one shard's block.
+    """Columnar worker entry point: ``(seconds, lanes, nulls, distinct)``.
 
-    Ships ``(lanes, nulls)`` — one float64 array and one mask per
-    attribute — rather than per-pair rows; the parent scatters them
-    into the batch of the whole candidate set.  The comparator still
+    Ships one float64 array and one mask per attribute rather than
+    per-pair rows; the parent scatters them into the batch of the whole
+    candidate set.  A pool worker can reach neither the parent's span
+    tree nor its counters, so the shard's wall time and distinct
+    value-pair count travel with its lanes.  The comparator still
     travels once per worker as shared state; the kernel plan is
     re-derived from it per shard (a few dict lookups).  The parent only
     dispatches columnar tasks when planning succeeded on the identical
@@ -369,16 +291,10 @@ def _compare_shard_columnar(task: _ColumnarShardTask):
     """
     from repro.engine.executors import shared_state
 
-    pairs, store = task
-    batch = compare_block(store, pairs, plan_for(shared_state()))
-    return batch.lanes, batch.nulls
-
-
-def _compare_shard_columnar_timed(task: _ColumnarShardTask):
-    """Like :func:`_compare_shard_columnar`, with its wall time."""
     started = time.perf_counter()
-    payload = _compare_shard_columnar(task)
-    return (time.perf_counter() - started, payload)
+    pairs, store = task
+    batch, distinct = score_block(store, pairs, plan_for(shared_state()))
+    return time.perf_counter() - started, batch.lanes, batch.nulls, distinct
 
 
 def compare_pairs_sharded(
@@ -387,7 +303,6 @@ def compare_pairs_sharded(
     comparator: AttributeComparator,
     config: ParallelConfig | None = None,
     executor=None,
-    columnar: bool = True,
     store: ColumnarStore | None = None,
 ) -> tuple[Sequence[SimilarityVector], list[str]]:
     """Similarity vectors of ``candidates``, sharded across processes.
@@ -395,20 +310,16 @@ def compare_pairs_sharded(
     Returns ``(vectors, missing_record_ids)``.  Vectors come back in
     sorted-pair order and are byte-identical to the serial loop;
     ``missing_record_ids`` lists records that disappeared between
-    blocking and scoring (their pairs are skipped).  Kernel-scored
-    candidates come back as one :class:`~repro.columnar.PairBatch`,
-    serial or sharded; the scalar loop returns a list.
+    blocking and scoring (their pairs are skipped).  An
+    :class:`AttributeComparator` is scored by the batch kernels of
+    :mod:`repro.columnar` (:func:`repro.columnar.plan_for`) into one
+    :class:`~repro.columnar.PairBatch`, serial or sharded.  Subclassed
+    and duck-typed comparators, which get no plan, are scored serially
+    by :func:`compare_pairs` into a list.
 
     ``executor`` overrides the executor derived from ``config`` —
     tests inject a :class:`~repro.engine.executors.SerialExecutor` to
     exercise the sharded code path without forking.
-
-    ``columnar`` routes comparison through the batch kernels of
-    :mod:`repro.columnar` when every configured measure has one
-    (:func:`repro.columnar.plan_for`) and the block is big enough to
-    amortize building the store; the kernels are byte-identical to the
-    scalar measures, so — like parallelism — the knob can never change
-    the output, only the speed.
 
     ``store`` optionally supplies a prebuilt :class:`ColumnarStore`
     covering the candidate records (e.g. the layout cached on the
@@ -420,25 +331,20 @@ def compare_pairs_sharded(
     tracer = _tracing.get_tracer()
     ordered, resolved, missing = resolve_candidates(records, candidates)
     _PAIRS_COMPARED.inc(len(ordered))
-    plan = None
-    if columnar and len(ordered) >= COLUMNAR_MIN_PAIRS:
-        plan = plan_for(comparator)
-        if plan is None:
-            count_fallback(len(ordered))
-    if store is not None and (
-        plan is None
+    plan = plan_for(comparator)
+    if plan is None:
+        count_fallback(len(ordered))
+        with tracer.span("comparison.serial", pairs=len(ordered)):
+            return compare_pairs(resolved, ordered, comparator), missing
+    if (
+        store is None
         or any(a not in store.attributes for a in comparator.attributes)
         or any(record_id not in store for record_id in resolved)
     ):
-        store = None
-    if plan is not None and store is None:
         store = ColumnarStore.from_records(resolved, comparator.attributes)
         count_store_build()
     if executor is None and not config.engaged(len(ordered)):
-        if plan is not None:
-            return compare_block(store, ordered, plan), missing
-        with tracer.span("comparison.serial", pairs=len(ordered)):
-            return compare_pairs(resolved, ordered, comparator), missing
+        return compare_block(store, ordered, plan), missing
     if executor is None:
         from repro.engine.executors import executor_for
 
@@ -448,7 +354,6 @@ def compare_pairs_sharded(
         pairs=len(ordered),
         workers=getattr(executor, "workers", None),
         shards=config.resolved_shards(),
-        columnar=plan is not None,
     ):
         positions = [
             where
@@ -457,53 +362,31 @@ def compare_pairs_sharded(
         ]
         shards = [[ordered[i] for i in where.tolist()] for where in positions]
         _LOG.debug(
-            "dispatching %d pairs across %d shards (columnar=%s)",
-            len(ordered),
-            len(shards),
-            plan is not None,
+            "dispatching %d pairs across %d shards", len(ordered), len(shards)
         )
-        if plan is not None:
-            tasks: Sequence = _columnar_shard_tasks(shards, store)
-            worker, worker_timed = (
-                _compare_shard_columnar,
-                _compare_shard_columnar_timed,
-            )
-        else:
-            tasks = _shard_tasks(shards, resolved)
-            worker, worker_timed = _compare_shard_packed, _compare_shard_timed
-        if tracer.enabled:
-            # Workers time themselves (a pool child cannot reach this
-            # span tree); each measurement becomes one completed child
-            # span, so the trace shows the true per-shard skew.
-            payloads = []
-            for task, (seconds, payload) in zip(
-                tasks,
-                executor.map(worker_timed, tasks, shared=comparator),
-            ):
-                tracer.record(
-                    "comparison.shard", seconds, pairs=len(task[0])
-                )
-                payloads.append(payload)
-        else:
-            payloads = executor.map(worker, tasks, shared=comparator)
+        payloads = executor.map(
+            _compare_shard_columnar,
+            _columnar_shard_tasks(shards, store),
+            shared=comparator,
+        )
+        distinct = 0
+        for shard, (seconds, _, _, shard_distinct) in zip(shards, payloads):
+            if tracer.enabled:
+                tracer.record("comparison.shard", seconds, pairs=len(shard))
+            distinct += shard_distinct
+        count_kernel_work(len(ordered), distinct)
         # Each shard holds its pairs in global sorted order, so
         # scattering shard outputs back to their positions reproduces
         # the serial scan.
-        if plan is not None:
-            return _merge_lanes(store, ordered, plan.attributes, positions,
-                                payloads), missing
-        vectors: list = [None] * len(ordered)
-        for where, payload in zip(positions, payloads):
-            for position, vector in zip(where.tolist(), _unpack_shard(payload)):
-                vectors[position] = vector
-        return vectors, missing
+        return _merge_lanes(store, ordered, plan.attributes, positions,
+                            payloads), missing
 
 
 def _merge_lanes(store, ordered, attributes, positions, payloads) -> PairBatch:
-    """One batch over ``ordered`` from the shards' ``(lanes, nulls)``."""
+    """One batch over ``ordered`` from the shards' lanes and nulls."""
     lanes = [np.zeros(len(ordered)) for _ in attributes]
     nulls = [np.zeros(len(ordered), dtype=bool) for _ in attributes]
-    for where, (shard_lanes, shard_nulls) in zip(positions, payloads):
+    for where, (_, shard_lanes, shard_nulls, _) in zip(positions, payloads):
         for lane, null, shard_lane, shard_null in zip(
             lanes, nulls, shard_lanes, shard_nulls
         ):

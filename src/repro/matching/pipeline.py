@@ -19,6 +19,7 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+from repro.columnar import plan_for
 from repro.columnar.batch import (
     PairBatch,
     ScoredBatch,
@@ -169,12 +170,6 @@ class MatchingPipeline:
         knob is deliberately absent from :meth:`config_fingerprint` —
         the engine's result cache must not distinguish runs that
         cannot differ.
-    columnar:
-        Route the comparison stage through the batch kernels of
-        :mod:`repro.columnar` when every configured measure has one
-        (default on).  Kernel scores are byte-identical to the scalar
-        measures, so — exactly like ``parallelism`` — this is an
-        execution knob, absent from :meth:`config_fingerprint`.
     blocking_storage:
         ``"memory"`` (default) runs the candidate generator as-is;
         ``"disk"`` pushes blocking into SQLite via
@@ -200,7 +195,6 @@ class MatchingPipeline:
         name: str = "pipeline-run",
         solution: str = "pipeline",
         parallelism: ParallelConfig | Mapping[str, object] | int | None = None,
-        columnar: bool = True,
         blocking_storage: str = "memory",
     ) -> None:
         self.candidate_generator = candidate_generator
@@ -222,7 +216,6 @@ class MatchingPipeline:
         self.name = name
         self.solution = solution
         self.parallelism = _coerce_parallelism(parallelism)
-        self.columnar = bool(columnar)
         self.blocking_storage = _coerce_blocking_storage(blocking_storage)
 
     # -- stages (each one is a node of the job graph) ---------------------------
@@ -230,11 +223,10 @@ class MatchingPipeline:
     def prepare(self, dataset: Dataset) -> Dataset:
         """Step 1 — apply the record-level preparers in order.
 
-        When the columnar path is on and every configured measure has a
-        batch kernel, the prepared dataset's columnar layout (interned
-        columns plus the kernels' derived arrays) is built here too —
-        column stores pay layout cost at load time, so the comparison
-        stage is pure scoring.
+        When the comparator has a kernel plan, the prepared dataset's
+        columnar layout (interned columns plus the kernels' derived
+        arrays) is built here too — column stores pay layout cost at
+        load time, so the comparison stage is pure scoring.
         """
         with _tracing.span("pipeline.prepare", records=len(dataset)):
             prepared_records = []
@@ -247,12 +239,9 @@ class MatchingPipeline:
                 prepared_records, name=f"{dataset.name}-prepared",
                 attributes=dataset.attributes,
             )
-            if self.columnar:
-                from repro.columnar import plan_for
-
-                plan = plan_for(self.comparator)
-                if plan is not None:
-                    plan.warm(prepared.columnar_store())
+            plan = plan_for(self.comparator)
+            if plan is not None:
+                plan.warm(prepared.columnar_store())
             return prepared
 
     def generate_candidates(self, prepared: Dataset) -> set[Pair]:
@@ -299,7 +288,8 @@ class MatchingPipeline:
 
         Kernel-scored candidates come back as a
         :class:`~repro.columnar.PairBatch` (score lanes read as a lazy
-        sequence of vectors); the scalar loop returns a list.
+        sequence of vectors); a comparator without a kernel plan is
+        scored by the serial row loop into a list.
 
         With :attr:`parallelism` configured, large candidate sets are
         partitioned into deterministic shards and scored on a process
@@ -314,7 +304,6 @@ class MatchingPipeline:
                 candidates,
                 self.comparator,
                 config=self.parallelism,
-                columnar=self.columnar,
                 # reuse the layout prepare() built; never built here —
                 # streaming registries and ad-hoc mappings pass None and
                 # the comparison stage interns just the touched records
@@ -485,27 +474,13 @@ class MatchingPipeline:
         )
         return clone
 
-    def with_columnar(self, columnar: bool) -> "MatchingPipeline":
-        """A shallow copy with kernelized comparison switched on/off.
-
-        Like :meth:`with_parallelism` this only changes *how* the
-        comparison stage executes, never its output — the batch
-        kernels are byte-identical to the scalar measures (and the
-        stage falls back to the scalar loop whenever a configured
-        measure has no kernel).
-        """
-        clone = copy.copy(self)
-        clone.columnar = bool(columnar)
-        return clone
-
     def with_blocking_storage(self, blocking_storage: str) -> "MatchingPipeline":
         """A shallow copy with blocking routed to memory or disk.
 
-        Like :meth:`with_parallelism` and :meth:`with_columnar` this
-        only changes *how* candidate generation executes, never its
-        output — the SQL-pushdown plans produce candidate sets
-        identical to the in-memory blockers (and generators without a
-        plan fall back to the in-memory call).
+        Like :meth:`with_parallelism` this only changes *how* candidate
+        generation executes, never its output — the SQL-pushdown plans
+        produce candidate sets identical to the in-memory blockers (and
+        generators without a plan fall back to the in-memory call).
         """
         clone = copy.copy(self)
         clone.blocking_storage = _coerce_blocking_storage(blocking_storage)
@@ -533,12 +508,11 @@ class MatchingPipeline:
         Used by :mod:`repro.engine` to content-address pipeline job
         results.  Callables are tokenized by qualified name, so custom
         steps should be module-level functions (not lambdas closing
-        over differing constants).  :attr:`parallelism`,
-        :attr:`columnar`, and :attr:`blocking_storage` are deliberately
-        excluded: sharded, kernelized, and disk-backed execution are
-        byte-identical to the serial in-memory path, and a fingerprint
-        that varied with them would split the cache across entries that
-        hold the same result.
+        over differing constants).  :attr:`parallelism` and
+        :attr:`blocking_storage` are deliberately excluded: sharded and
+        disk-backed execution are byte-identical to the serial
+        in-memory path, and a fingerprint that varied with them would
+        split the cache across entries that hold the same result.
         """
         from repro.engine.jobs import content_fingerprint
 

@@ -141,6 +141,10 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
             a 400, and one above :data:`MAX_BODY_BYTES` a 413 without
             the body being read; both close the connection, since the
             unread body would otherwise be parsed as the next request.
+            A body shorter than its ``Content-Length`` is never served:
+            it gets a 408 when the client stops sending for
+            :attr:`timeout` seconds and a 400 when the connection ends
+            first, both closing the connection.
             """
             declared = (self.headers.get("Content-Length") or "0").strip()
             if not (declared.isascii() and declared.isdigit()):
@@ -154,7 +158,20 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
                     f"{MAX_BODY_BYTES}-byte limit",
                 )
                 return
-            raw = self.rfile.read(length) if length else b""
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                self._reject(
+                    408, f"request body not received within {self.timeout}s"
+                )
+                return
+            if len(raw) < length:
+                self._reject(
+                    400,
+                    f"request body ended after {len(raw)} of the "
+                    f"{length} bytes its Content-Length declares",
+                )
+                return
             try:
                 body = json.loads(raw) if raw else None
             except json.JSONDecodeError:

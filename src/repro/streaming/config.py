@@ -26,9 +26,6 @@ store when a durable session is resumed.  Schema::
         "shards": 16,                 # default: 4 x workers
         "min_pairs": 2048             # serial below this delta size
       },
-      "columnar": true,               # optional: batch-kernel delta
-                                      # scoring (default on; output is
-                                      # byte-identical either way)
       "blocking_storage": "disk",     # optional: "memory" (default) or
                                       # "disk" — SQLite-backed blocking
                                       # (identical candidates, bounded
@@ -174,11 +171,6 @@ def validate_config(config: Mapping[str, object]) -> dict[str, object]:
     }
     if config.get("parallelism") is not None:
         normalized["parallelism"] = parallelism.as_dict()
-    columnar = config.get("columnar", True)
-    if not isinstance(columnar, bool):
-        raise ValueError("config.columnar must be a boolean")
-    if "columnar" in config:
-        normalized["columnar"] = columnar
     blocking_storage = config.get("blocking_storage", "memory")
     if blocking_storage not in ("memory", "disk"):
         raise ValueError(
@@ -340,7 +332,6 @@ def _build_pipeline_and_index(
         name="streaming-config",
         solution="streaming",
         parallelism=ParallelConfig.from_dict(config.get("parallelism")),
-        columnar=bool(config.get("columnar", True)),
         blocking_storage=storage,
     )
     return pipeline, _delta_index(key, storage)

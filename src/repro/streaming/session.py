@@ -256,7 +256,6 @@ class StreamingMatcher:
                     self._graph.graph.name if self._graph is not None else None
                 ),
                 "parallelism": self.pipeline.parallelism.as_dict(),
-                "columnar": self.pipeline.columnar,
                 "blocking_storage": self.pipeline.blocking_storage,
                 "latest": latest,
                 "snapshots": [s.as_dict() for s in self._snapshots],

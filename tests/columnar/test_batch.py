@@ -6,6 +6,7 @@ The batch path must be invisible in the output: the lane mean equals
 behave like the lists they replace.
 """
 
+import copy
 import random
 import struct
 
@@ -20,7 +21,7 @@ from repro.core.clustering import Clustering
 from repro.core.experiment import Match
 from repro.core.pairs import ScoredPair
 from repro.datagen import make_person_benchmark
-from repro.matching.attribute_matching import SimilarityVector
+from repro.matching.attribute_matching import AttributeComparator, SimilarityVector
 from repro.matching.clustering_algorithms import center_clustering
 from repro.streaming import build_pipeline_and_index, mean_similarity
 
@@ -204,6 +205,10 @@ def test_closure_matches_nothing_accepted():
 # -- the views behave like the lists they replace ---------------------------
 
 
+class RowLoopComparator(AttributeComparator):
+    """A trivial subclass, scored by the row loop instead of kernels."""
+
+
 @pytest.fixture(scope="module")
 def pipeline_views():
     benchmark = make_person_benchmark(200, seed=4)
@@ -218,7 +223,11 @@ def pipeline_views():
     })
     assert pipeline.decision_model is mean_similarity
     run = pipeline.run(benchmark.dataset)
-    scalar = pipeline.with_columnar(False).run(benchmark.dataset)
+    # plan_for refuses AttributeComparator subclasses, so this run takes
+    # the row loop and returns the lists the views must equal
+    row_loop = copy.copy(pipeline)
+    row_loop.comparator = RowLoopComparator(pipeline.comparator.functions)
+    scalar = row_loop.run(benchmark.dataset)
     return run, scalar
 
 

@@ -1,20 +1,27 @@
-"""Columnar/scalar equivalence: serial, sharded, fallback, and wiring."""
+"""Columnar/scalar equivalence: serial, sharded, fallback, and wiring.
+
+The oracle is the scalar row loop,
+:func:`~repro.matching.attribute_matching.compare_pairs` over the scalar
+measures; every kernel-scored result must equal it bit for bit.
+"""
 
 import random
 import struct
 
 import pytest
 
+from repro.columnar import PairBatch
 from repro.core.records import Dataset, Record
-from repro.engine.executors import SerialExecutor
-from repro.matching.attribute_matching import AttributeComparator
+from repro.engine.executors import ProcessExecutor, SerialExecutor
+from repro.matching.attribute_matching import AttributeComparator, compare_pairs
 from repro.matching.parallel import (
-    COLUMNAR_MIN_PAIRS,
     ParallelConfig,
     compare_pairs_sharded,
+    resolve_candidates,
 )
 from repro.matching.blocking import first_token_key, standard_blocking
 from repro.matching.pipeline import MatchingPipeline
+from repro.matching.similarity import jaro_winkler
 from repro.telemetry.metrics import get_metrics
 
 FIRST = ["alice", "alicia", "bob", "robert", "carol", "karol", "dave"]
@@ -49,6 +56,11 @@ def comparator():
     })
 
 
+class RowLoopComparator(AttributeComparator):
+    """A trivial subclass: :func:`repro.columnar.plan_for` refuses it, so
+    it is scored by the serial row loop."""
+
+
 def bits(value):
     return None if value is None else struct.pack("<d", value)
 
@@ -76,143 +88,105 @@ def candidates(dataset):
 
 class TestSerialEquivalence:
     def test_columnar_serial_matches_scalar_serial(self, dataset, candidates):
-        scalar, missing_a = compare_pairs_sharded(
-            dataset, candidates, comparator(), columnar=False
-        )
-        fast, missing_b = compare_pairs_sharded(
-            dataset, candidates, comparator(), columnar=True
-        )
-        assert missing_a == missing_b == []
-        assert len(fast) >= COLUMNAR_MIN_PAIRS
+        scalar = compare_pairs(dataset, candidates, comparator())
+        fast, missing = compare_pairs_sharded(dataset, candidates, comparator())
+        assert missing == []
+        assert isinstance(fast, PairBatch)
         assert_identical(scalar, fast)
 
-    def test_small_blocks_fall_back_to_scalar_loop(self, dataset):
-        # below the gate the scalar loop runs; output identical anyway
+    @pytest.mark.parametrize("size", [1, 31])
+    def test_small_blocks_are_kernel_scored(self, dataset, size):
         pairs = sorted(
             standard_blocking(dataset, first_token_key("last_name"))
-        )[: COLUMNAR_MIN_PAIRS - 1]
-        scalar, _ = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=False
-        )
-        fast, _ = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=True
-        )
-        assert_identical(scalar, fast)
+        )[:size]
+        fast, _ = compare_pairs_sharded(dataset, pairs, comparator())
+        assert isinstance(fast, PairBatch) and len(fast) == size
+        assert_identical(compare_pairs(dataset, pairs, comparator()), fast)
 
 
 class TestShardedEquivalence:
     def test_columnar_shards_match_scalar_serial(self, dataset, candidates):
-        scalar, _ = compare_pairs_sharded(
-            dataset, candidates, comparator(), columnar=False
-        )
+        scalar = compare_pairs(dataset, candidates, comparator())
         sharded, _ = compare_pairs_sharded(
             dataset,
             candidates,
             comparator(),
             config=ParallelConfig(workers=4, shards=7, min_pairs=0),
             executor=SerialExecutor(),
-            columnar=True,
         )
         assert_identical(scalar, sharded)
 
-    def test_columnar_shards_match_scalar_shards(self, dataset, candidates):
-        config = ParallelConfig(workers=2, shards=5, min_pairs=0)
-        scalar, _ = compare_pairs_sharded(
+    def test_two_worker_shards_match_scalar_serial(self, dataset, candidates):
+        scalar = compare_pairs(dataset, candidates, comparator())
+        sharded, _ = compare_pairs_sharded(
             dataset,
             candidates,
             comparator(),
-            config=config,
+            config=ParallelConfig(workers=2, shards=5, min_pairs=0),
             executor=SerialExecutor(),
-            columnar=False,
         )
-        fast, _ = compare_pairs_sharded(
-            dataset,
-            candidates,
-            comparator(),
-            config=config,
-            executor=SerialExecutor(),
-            columnar=True,
-        )
-        assert_identical(scalar, fast)
+        assert_identical(scalar, sharded)
 
 
 class TestFallback:
-    def test_unkernelizable_measure_falls_back(self, dataset, candidates):
+    def test_custom_measure_is_kernel_scored(self, dataset, candidates):
         def custom(a, b):
-            return 0.25
+            return jaro_winkler(b, a) / 2
 
         mixed = AttributeComparator(
             {"first_name": "jaro_winkler", "last_name": custom}
         )
+        kernel_pairs = get_metrics().counter("frost_kernel_pairs_total")
+        before = kernel_pairs.value
+        vectors, _ = compare_pairs_sharded(dataset, candidates, mixed)
+        assert kernel_pairs.value == before + len(vectors)
+        assert_identical(compare_pairs(dataset, candidates, mixed), vectors)
+
+    def test_duck_typed_comparator_falls_back(self, dataset, candidates):
+        class Duck:
+            def compare(self, first, second):
+                return comparator().compare(first, second)
+
         fallback = get_metrics().counter("frost_kernel_fallback_pairs_total")
         before = fallback.value
-        vectors, _ = compare_pairs_sharded(
-            dataset, candidates, mixed, columnar=True
-        )
-        assert fallback.value > before
-        assert all(
-            vector.values["last_name"] in (0.25, None) for vector in vectors
-        )
+        vectors, _ = compare_pairs_sharded(dataset, candidates, Duck())
+        assert fallback.value == before + len(candidates)
+        assert isinstance(vectors, list)
+        assert_identical(compare_pairs(dataset, candidates, comparator()), vectors)
 
     def test_missing_records_reported_same_as_scalar(self, dataset):
         pairs = sorted(
             standard_blocking(dataset, first_token_key("last_name"))
         )
         pairs.append(("p0000", "zz-gone"))
-        scalar, missing_a = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=False
-        )
-        fast, missing_b = compare_pairs_sharded(
-            dataset, pairs, comparator(), columnar=True
-        )
+        ordered, resolved, missing_a = resolve_candidates(dataset, pairs)
+        scalar = compare_pairs(resolved, ordered, comparator())
+        fast, missing_b = compare_pairs_sharded(dataset, pairs, comparator())
         assert missing_a == missing_b == ["zz-gone"]
         assert_identical(scalar, fast)
 
 
-class TestPipelineKnob:
-    def test_with_columnar_off_is_byte_identical(self, dataset):
-        def build(columnar):
+class TestPipelineRun:
+    def test_row_loop_run_is_byte_identical(self, dataset):
+        def build(comparator):
             return MatchingPipeline(
                 candidate_generator=lambda d: standard_blocking(
                     d, first_token_key("last_name")
                 ),
-                comparator=comparator(),
+                comparator=comparator,
                 decision_model=lambda v: v.mean(),
                 threshold=0.8,
-                columnar=columnar,
             )
 
-        fast = build(True).run(dataset)
-        slow = build(False).run(dataset)
+        fast = build(comparator()).run(dataset)
+        slow = build(RowLoopComparator(comparator().functions)).run(dataset)
+        assert isinstance(fast.vectors, PairBatch)
+        assert isinstance(slow.vectors, list)
         assert_identical(fast.vectors, slow.vectors)
         assert [
             (sp.pair, bits(sp.score)) for sp in fast.scored_pairs
         ] == [(sp.pair, bits(sp.score)) for sp in slow.scored_pairs]
         assert fast.experiment.matches == slow.experiment.matches
-
-    def test_with_columnar_returns_clone(self, dataset):
-        pipeline = MatchingPipeline(
-            candidate_generator=lambda d: set(),
-            comparator=comparator(),
-            decision_model=lambda v: v.mean(),
-        )
-        assert pipeline.columnar is True
-        clone = pipeline.with_columnar(False)
-        assert clone is not pipeline
-        assert clone.columnar is False
-        assert pipeline.columnar is True
-        assert clone.comparator is pipeline.comparator
-
-    def test_fingerprint_ignores_columnar(self):
-        pipeline = MatchingPipeline(
-            candidate_generator=standard_blocking,
-            comparator=comparator(),
-            decision_model=lambda v: v.mean(),
-        )
-        assert (
-            pipeline.config_fingerprint()
-            == pipeline.with_columnar(False).config_fingerprint()
-        )
 
 
 class TestTelemetry:
@@ -226,7 +200,33 @@ class TestTelemetry:
             distinct_counter.value,
             builds_counter.value,
         )
-        compare_pairs_sharded(dataset, candidates, comparator(), columnar=True)
+        compare_pairs_sharded(dataset, candidates, comparator())
         assert pairs_counter.value > before[0]
         assert distinct_counter.value > before[1]
         assert builds_counter.value > before[2]
+
+    def test_pool_workers_count_like_serial_shards(self, dataset, candidates):
+        """Kernel work done in pool workers is counted in the parent,
+        exactly as when the same shards run inline."""
+        metrics = get_metrics()
+        counters = [
+            metrics.counter("frost_kernel_pairs_total"),
+            metrics.counter("frost_kernel_distinct_pairs_total"),
+        ]
+        pool_fallbacks = metrics.counter("frost_executor_fallback_total")
+        config = ParallelConfig(workers=2, shards=5, min_pairs=0)
+
+        def advance(executor):
+            before = [counter.value for counter in counters]
+            compare_pairs_sharded(
+                dataset, candidates, comparator(), config, executor=executor
+            )
+            return [counter.value - b for counter, b in zip(counters, before)]
+
+        fallbacks_before = pool_fallbacks.value
+        pooled = advance(ProcessExecutor(2))
+        assert pool_fallbacks.value == fallbacks_before  # really pooled
+        inline = advance(SerialExecutor())
+        assert pooled == inline
+        assert pooled[0] == len(candidates)
+        assert pooled[1] > 0

@@ -12,7 +12,7 @@ from repro.columnar.kernels import (
     TokenJaccardKernel,
 )
 from repro.core.records import Record
-from repro.matching.attribute_matching import AttributeComparator
+from repro.matching.attribute_matching import AttributeComparator, compare_pairs
 from repro.matching.similarity import (
     SIMILARITY_FUNCTIONS,
     TfIdfCosine,
@@ -143,11 +143,56 @@ class TestPlanFor:
         assert plan is not None
         assert plan.attributes == ("name", "zip")
 
-    def test_no_plan_when_any_measure_lacks_a_kernel(self):
+    def test_generic_kernel_scores_like_the_row_loop(self):
+        """Measures without a dedicated kernel run on a MemoizedKernel
+        over the function itself: bitwise equal to the row loop, one
+        call per distinct value pair of the block."""
+
+        def share(first, second):  # asymmetric: argument order matters
+            return len(set(first) & set(second)) / (len(first) + 0.5)
+
+        class Counting:
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, first, second):
+                self.calls += 1
+                return jaro_winkler(second, first) / 3
+
+        counting = Counting()
         comparator = AttributeComparator(
-            {"name": "jaro_winkler", "zip": lambda a, b: 0.0}
+            {"a": share, "b": counting, "c": "exact"}
         )
-        assert plan_for(comparator) is None
+        plan = plan_for(comparator)
+        assert plan.attributes == ("a", "b", "c")
+        assert [type(kernel) for kernel in plan.kernels[:2]] == [
+            MemoizedKernel, MemoizedKernel
+        ]
+        records = {
+            f"r{i}": Record(
+                record_id=f"r{i}",
+                values={"a": VALUES[i % 5], "b": VALUES[i % 4], "c": "x"},
+            )
+            for i in range(24)
+        }
+        store = ColumnarStore.from_records(records, ["a", "b", "c"])
+        pairs = [
+            (first, second)
+            for first in sorted(records)
+            for second in sorted(records)
+            if first < second
+        ]
+        distinct_b = {
+            (records[a].value("b"), records[b].value("b")) for a, b in pairs
+        }
+        block = compare_block(store, pairs, plan)
+        assert counting.calls == len(distinct_b) < len(pairs)
+        expected = compare_pairs(records, pairs, comparator)
+        assert [vector.pair for vector in block] == pairs
+        for got, want in zip(block, expected):
+            assert [repr(v) for v in got.values.values()] == [
+                repr(v) for v in want.values.values()
+            ]
 
     def test_no_plan_for_comparator_subclass(self):
         class Custom(AttributeComparator):

@@ -440,25 +440,6 @@ class TestPipelineJobs:
         assert parallel.cache_key == serial.cache_key
         assert parallel.value == serial.value
 
-    def test_columnar_override_hits_same_cache(self, engine, pipeline):
-        """Like workers/shards, the columnar knob is pure execution: a
-        kernelized run and a scalar run share one cache entry."""
-        fast = engine.run(
-            [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
-                     job_id="col-on")]
-        )["col-on"]
-        assert fast.state is JobState.SUCCEEDED, fast.error
-        scalar = engine.run(
-            [JobSpec(
-                "pipeline",
-                {"pipeline": pipeline, "dataset": "people", "columnar": False},
-                job_id="col-off",
-            )]
-        )["col-off"]
-        assert scalar.state is JobState.SUCCEEDED, scalar.error
-        assert scalar.cache_key == fast.cache_key
-        assert scalar.value == fast.value
-
     def test_stage_graph_with_workers_matches_serial(self, engine, pipeline):
         graph = pipeline.as_job_graph("people", prefix="par", register=False)
         for spec in graph:

@@ -182,13 +182,21 @@ class TestContentLength:
         with FrostHttpServer(api, port=0) as server:
             yield server
 
-    def _exchange(self, server, content_length):
-        """Send a bodiless POST; return (status, document, closed)."""
+    def _exchange(
+        self, server, content_length, body=b"", path="/jobs", half_close=False
+    ):
+        """Send a POST; return (status, document, closed).
+
+        ``half_close`` shuts the client's sending side after ``body``,
+        so the server sees the end of the stream."""
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
             sock.sendall(
-                b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                f"POST {path} HTTP/1.1\r\nHost: test\r\n".encode()
                 + f"Content-Length: {content_length}\r\n\r\n".encode()
+                + body
             )
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
             received = b""
             while chunk := sock.recv(65536):
                 received += chunk  # a closed connection ends the loop
@@ -211,6 +219,30 @@ class TestContentLength:
         assert status == 413
         assert document["status"] == 413
         assert closed
+
+    def test_stalled_body_is_408_and_closes(self, server, monkeypatch):
+        monkeypatch.setattr(server._server.RequestHandlerClass, "timeout", 0.5)
+        status, document, closed = self._exchange(server, 100, b'{"kind"')
+        assert status == 408
+        assert document["status"] == 408
+        assert closed
+
+    def test_body_cut_short_is_400_and_not_served(self, server, api):
+        body = json.dumps({
+            "name": "short",
+            "config": {
+                "key": {"kind": "first_token", "attribute": "name"},
+                "similarities": {"name": "jaro_winkler"},
+            },
+        }).encode()
+        status, document, closed = self._exchange(
+            server, len(body) + 50, body, path="/streams", half_close=True
+        )
+        assert status == 400
+        assert document["status"] == 400
+        assert "Content-Length" in document["error"]
+        assert closed
+        assert api.handle("/streams", {}, method="GET") == {"streams": []}
 
     def test_server_keeps_serving_after_a_rejection(self, server):
         self._exchange(server, "abc")

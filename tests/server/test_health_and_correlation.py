@@ -268,7 +268,6 @@ class TestRequestIdCorrelation:
                     comparator,
                     ParallelConfig(workers=2, shards=2, min_pairs=0),
                     executor=SerialExecutor(),
-                    columnar=False,
                 )
         finally:
             tracer.disable()

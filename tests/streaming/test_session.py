@@ -222,19 +222,21 @@ class TestConfigValidation:
         snapshot = session.ingest(BATCH_ONE)
         assert snapshot.record_count == 3
 
-    def test_columnar_must_be_boolean(self):
-        with pytest.raises(ValueError, match="columnar"):
-            validate_config({**CONFIG, "columnar": "yes"})
-
-    def test_columnar_defaults_on_and_round_trips_when_set(self):
-        assert "columnar" not in validate_config(CONFIG)
-        normalized = validate_config({**CONFIG, "columnar": False})
-        assert normalized["columnar"] is False
-        pipeline, _ = build_pipeline_and_index({**CONFIG, "columnar": False})
-        assert pipeline.columnar is False
-        pipeline, _ = build_pipeline_and_index(CONFIG)
-        assert pipeline.columnar is True
-
-    def test_status_reports_columnar(self):
-        session = build_session({**CONFIG, "columnar": False})
-        assert session.status()["columnar"] is False
+    def test_legacy_columnar_key_is_ignored(self):
+        """A config or a stored stream carrying the retired ``columnar``
+        key still validates, builds, and resumes to the same clusters."""
+        legacy = {**CONFIG, "columnar": False}
+        assert validate_config(legacy) == validate_config(CONFIG)
+        build_pipeline_and_index(legacy)
+        store = FrostStore(":memory:")
+        store.create_stream("legacy", {**validate_config(CONFIG),
+                                       "columnar": False})
+        open_session(store, "legacy").ingest(BATCH_ONE)
+        resumed = open_session(store, "legacy")
+        resumed.ingest(BATCH_TWO)
+        fresh = build_session(CONFIG)
+        fresh.ingest(BATCH_ONE)
+        fresh.ingest(BATCH_TWO)
+        assert set(resumed.clusters().clusters) == set(
+            fresh.clusters().clusters
+        )
