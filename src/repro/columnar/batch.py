@@ -12,7 +12,10 @@ at a time.  This module applies that to the matching pipeline's steps
 * the ``mean_similarity`` decision model becomes lane arithmetic
   (:meth:`PairBatch.mean_scores`), wrapped as a :class:`ScoredBatch`;
 * connected-components clustering of the accepted rows runs on their
-  integer row ids (:func:`component_labels`, :func:`closure_matches`).
+  integer row ids (:func:`component_labels`, :func:`closure_matches`),
+  and the experiment built from them keeps the clustering for
+  evaluation and the match lanes (:class:`ClosureLanes`) for its
+  content digest.
 
 Both batch types are read-only sequence views: they build their
 :class:`SimilarityVector` / :class:`ScoredPair` objects only when
@@ -26,15 +29,17 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.clustering import Clustering
-from repro.core.experiment import Match, collector_paused
+from repro.core.experiment import DigestRows, Match, collector_paused, row_tails
 from repro.core.pairs import Pair, ScoredPair
 from repro.matching.attribute_matching import SimilarityVector
 
 __all__ = [
+    "ClosureLanes",
     "PairBatch",
     "ScoredBatch",
     "accepted_pairs",
@@ -229,8 +234,9 @@ def accepted_pairs(scored: Sequence[ScoredPair], threshold: float) -> list[Score
 
 
 # Frozen dataclasses pay one object.__setattr__ per field in __init__;
-# writing the instance dict directly (as unpickling does) builds the
-# same object at a third of the cost, which matters per pair.
+# writing the instance dict directly (as unpickling does), or the slots
+# of a slotted class through their descriptors, builds the same object
+# at a fraction of the cost, which matters per pair.
 
 
 def _vector(pair: Pair, values: dict[str, float | None]) -> SimilarityVector:
@@ -247,12 +253,16 @@ def _scored_pair(score: float, pair: Pair) -> ScoredPair:
     return scored
 
 
+_set_pair = Match.__dict__["pair"].__set__
+_set_score = Match.__dict__["score"].__set__
+_set_from_clustering = Match.__dict__["from_clustering"].__set__
+
+
 def _match(pair: Pair, score: float | None, from_clustering: bool) -> Match:
     match = Match.__new__(Match)
-    fields = match.__dict__
-    fields["pair"] = pair
-    fields["score"] = score
-    fields["from_clustering"] = from_clustering
+    _set_pair(match, pair)
+    _set_score(match, score)
+    _set_from_clustering(match, from_clustering)
     return match
 
 
@@ -289,9 +299,42 @@ def component_labels(
             labels = jumped
 
 
+class ClosureLanes(NamedTuple):
+    """The matches of :func:`closure_matches` as lanes, for their digest.
+
+    ``ids`` are the clustered record ids in sorted order; match ``i``
+    pairs ``ids[firsts[i]]`` with ``ids[seconds[i]]``.  The accepted
+    rows sit at ``direct`` and carry ``scores``; every other match is
+    unscored and flagged ``from_clustering``.
+    """
+
+    ids: list[str]
+    firsts: np.ndarray
+    seconds: np.ndarray
+    direct: np.ndarray
+    scores: np.ndarray
+
+    def digest_rows(self) -> DigestRows:
+        """:func:`~repro.core.experiment.rows_digest` input of the matches.
+
+        Each distinct score is rendered once.  Scores are told apart by
+        bit pattern, because ``0.0 == -0.0`` yet each has its own text.
+        """
+        (derived,) = row_tails([None], [True])
+        tails = [derived] * len(self.firsts)
+        scores = self.scores
+        bits, inverse = np.unique(
+            scores.view(f"u{scores.itemsize}"), return_inverse=True
+        )
+        texts = row_tails(bits.view(scores.dtype).tolist(), [False] * len(bits))
+        for position, distinct in zip(self.direct.tolist(), inverse.tolist()):
+            tails[position] = texts[distinct]
+        return self.ids, self.firsts.tolist(), self.seconds.tolist(), tails
+
+
 def closure_matches(
     scored: ScoredBatch, accepted: np.ndarray
-) -> tuple[Clustering, list[Match]]:
+) -> tuple[Clustering, list[Match], ClosureLanes]:
     """Connected components of the accepted rows and their match list.
 
     ``accepted`` is a boolean mask over ``scored``.  Returns what
@@ -300,12 +343,16 @@ def closure_matches(
     in the same order as :meth:`Clustering.from_pairs`) and every
     intra-cluster pair as one :class:`Match`, in sorted pair order,
     scored where the decision model accepted it and flagged
-    ``from_clustering`` where only transitivity implies it.
+    ``from_clustering`` where only transitivity implies it.  The third
+    value holds the same matches as :class:`ClosureLanes`.
     """
     batch = scored.batch
     index = np.flatnonzero(accepted)
     if not len(index):
-        return Clustering([]), []
+        empty = np.empty(0, dtype=np.int64)
+        return Clustering([]), [], ClosureLanes(
+            [], empty, empty, empty, np.empty(0, dtype=np.float64)
+        )
     # Dense node ids over the rows the accepted pairs touch.
     rows, endpoints = np.unique(
         np.concatenate((batch.rows_a[index], batch.rows_b[index])),
@@ -337,8 +384,9 @@ def closure_matches(
     direct = np.searchsorted(
         rank[firsts] * nodes + rank[seconds], rank[first] * nodes + rank[second]
     )
+    accepted_scores = scored.scores[index]
     scores: list[float | None] = [None] * len(firsts)
-    for place, score in zip(direct.tolist(), scored.scores[index].tolist()):
+    for place, score in zip(direct.tolist(), accepted_scores.tolist()):
         scores[place] = score
     derived = np.ones(len(firsts), dtype=bool)
     derived[direct] = False
@@ -354,4 +402,8 @@ def closure_matches(
         [ids[node] for node in members[start:start + size].tolist()]
         for start, size in zip(starts[order].tolist(), sizes[order].tolist())
     )
-    return clustering, matches
+    lanes = ClosureLanes(
+        [ids[node] for node in by_rank.tolist()],
+        rank[firsts], rank[seconds], direct, accepted_scores,
+    )
+    return clustering, matches, lanes

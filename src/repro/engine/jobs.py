@@ -160,7 +160,6 @@ def expand_sweep(
 # -- content fingerprints ----------------------------------------------------------
 
 _dataset_memo: "WeakKeyDictionary[Dataset, str]" = WeakKeyDictionary()
-_experiment_memo: "WeakKeyDictionary[Experiment, str]" = WeakKeyDictionary()
 
 
 def _digest(document: object) -> str:
@@ -187,22 +186,15 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 
 
 def experiment_fingerprint(experiment: Experiment) -> str:
-    """Digest of an experiment's match set, scores included (memoized)."""
-    cached = _experiment_memo.get(experiment)
-    if cached is None:
-        cached = _digest(
-            sorted(
-                [
-                    match.pair[0],
-                    match.pair[1],
-                    match.score,
-                    match.from_clustering,
-                ]
-                for match in experiment
-            )
-        )
-        _experiment_memo[experiment] = cached
-    return cached
+    """Digest of an experiment's match set, scores included.
+
+    :meth:`Experiment.content_digest`: SHA-256 over ``json.dumps`` of
+    the sorted ``[first, second, score, from_clustering]`` rows,
+    computed once per experiment and cached on it.  A pipeline-built
+    experiment computes it from the clustering stage's lanes; any other
+    experiment takes one pass over its matches.
+    """
+    return experiment.content_digest()
 
 
 def gold_fingerprint(gold: GoldStandard) -> str:

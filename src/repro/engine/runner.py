@@ -569,19 +569,20 @@ class ExperimentEngine:
             ) as job_span:
                 value = MISS
                 if spec.cacheable and handler.token is not None:
-                    entry.result.cache_key = job_cache_key(
-                        spec.kind, handler.token(spec.params)
-                    )
+                    with tracer.span("engine.cache_key"):
+                        entry.result.cache_key = job_cache_key(
+                            spec.kind, handler.token(spec.params)
+                        )
                     value = self.cache.get(entry.result.cache_key)
                 if value is not MISS:
                     entry.result.cached = True
                     computed = value
                 else:
                     computed = handler.compute(spec.params, inputs)
-                    value = (
-                        computed if handler.encode is None
-                        else handler.encode(computed)
-                    )
+                    value = computed
+                    if handler.encode is not None:
+                        with tracer.span("engine.encode"):
+                            value = handler.encode(computed)
                     if entry.result.cache_key is not None:
                         self.cache.put(entry.result.cache_key, spec.kind, value)
                 job_span.annotate(cached=entry.result.cached)

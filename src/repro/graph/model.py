@@ -193,7 +193,9 @@ class MatchGraph:
         """K-hop BFS neighborhood of one record.
 
         ``k=0`` is the record alone.  Returns the reached records with
-        hop distances plus every eligible edge among them.
+        hop distances plus every eligible edge among them.  The cost is
+        local: the edges come from the reached records' adjacency
+        lists, never from a scan of the whole graph.
         """
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise GraphQueryError(f"k must be a non-negative integer, got {k!r}")
@@ -218,9 +220,13 @@ class MatchGraph:
             visited = sorted(hops)
             edges = [
                 self._edge_row(first, second)
-                for (first, second), (score, accepted) in sorted(self._edges.items())
-                if first in hops and second in hops
-                and self._eligible(score, accepted, threshold)
+                for first, second in sorted(
+                    (node, neighbor)
+                    for node in hops
+                    for neighbor, score, accepted in self._adjacency[node]
+                    if node < neighbor and neighbor in hops
+                    and self._eligible(score, accepted, threshold)
+                )
             ]
             return {
                 "record": native_id,

@@ -348,19 +348,25 @@ class MatchingPipeline:
         A :class:`~repro.columnar.ScoredBatch` is thresholded in one
         vectorized comparison; under ``connected_components`` its
         accepted rows are clustered on their integer row ids and each
-        match is built once, in sorted pair order.  Other clustering
+        match is built once, in sorted pair order.  The experiment then
+        carries that clustering, and computes its content digest from
+        the clustering's lanes when first asked.  Other clustering
         algorithms receive the accepted :class:`ScoredPair` objects.
         """
         with _tracing.span(
             "pipeline.clustering", scored=len(scored_pairs)
         ) as span:
+            carried = digest_rows = None
             if (
                 isinstance(scored_pairs, ScoredBatch)
                 and self.clustering is connected_components
             ):
                 accepted_mask = scored_pairs.scores >= self.threshold
-                clustering, matches = closure_matches(scored_pairs, accepted_mask)
+                clustering, matches, lanes = closure_matches(
+                    scored_pairs, accepted_mask
+                )
                 accepted_count = int(accepted_mask.sum())
+                carried, digest_rows = clustering, lanes.digest_rows
             else:
                 accepted = accepted_pairs(scored_pairs, self.threshold)
                 clustering = self.clustering(accepted)
@@ -378,11 +384,13 @@ class MatchingPipeline:
                 accepted_count = len(accepted)
             span.annotate(accepted=accepted_count, matches=len(matches))
             _MATCHES_ACCEPTED.inc(len(matches))
-            experiment = Experiment(
+            experiment = Experiment._assembled(
                 matches,
                 name=self.name,
                 solution=self.solution,
                 metadata={"threshold": self.threshold},
+                clustering=carried,
+                digest_rows=digest_rows,
             )
             return clustering, experiment
 

@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 from repro.columnar import PairBatch, ScoredBatch, accepted_pairs
 from repro.columnar.batch import closure_matches, component_labels
 from repro.core.clustering import Clustering
-from repro.core.experiment import Match
+from repro.core.experiment import Match, rows_digest
 from repro.core.pairs import ScoredPair
 from repro.datagen import make_person_benchmark
 from repro.matching.attribute_matching import AttributeComparator, SimilarityVector
 from repro.matching.clustering_algorithms import center_clustering
+from repro.matching.pipeline import MatchingPipeline
 from repro.streaming import build_pipeline_and_index, mean_similarity
+from tests.engine.test_jobs import legacy_fingerprint
 
 
 def bits(value):
@@ -189,17 +191,40 @@ def test_closure_matches_equal_row_by_row_clustering(edges, seed):
     lane = [rng.choice([0.2, 0.5, 0.8, 0.95]) for _ in pairs]
     batch = make_batch(ids, pairs, [lane], [[False] * len(pairs)])
     scored = ScoredBatch(batch, batch.mean_scores())
-    clustering, matches = closure_matches(scored, scored.scores >= 0.8)
+    clustering, matches, _ = closure_matches(scored, scored.scores >= 0.8)
     expected_clustering, expected_matches = reference_cluster(scored, 0.8)
     assert matches == expected_matches
     assert clustering.clusters == expected_clustering.clusters
+    # the experiment the clustering stage builds from these lanes
+    pipeline = MatchingPipeline(None, None, mean_similarity, threshold=0.8)
+    carried, experiment = pipeline._cluster(scored)
+    assert list(experiment) == matches
+    assert experiment.content_digest() == legacy_fingerprint(experiment)
+    assert experiment.clustering() is carried
+    assert carried.clusters == Clustering.from_pairs(
+        match.pair for match in experiment
+    ).clusters
+
+
+def test_lane_digest_tells_signed_zeros_apart():
+    batch = make_batch(
+        list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
+        [[0.0] * 4], [[False] * 4],
+    )
+    scored = ScoredBatch(batch, np.array([0.0, -0.0, 0.5, -0.0]))
+    pipeline = MatchingPipeline(None, None, mean_similarity, threshold=-1.0)
+    _, experiment = pipeline._cluster(scored)
+    scores = [match.score for match in experiment if match.score is not None]
+    assert list(map(bits, scores)) == list(map(bits, [0.0, -0.0, 0.5, -0.0]))
+    assert experiment.content_digest() == legacy_fingerprint(experiment)
 
 
 def test_closure_matches_nothing_accepted():
     batch = make_batch(["a", "b"], [("a", "b")], [[0.1]], [[False]])
     scored = ScoredBatch(batch, batch.mean_scores())
-    clustering, matches = closure_matches(scored, scored.scores >= 0.5)
+    clustering, matches, lanes = closure_matches(scored, scored.scores >= 0.5)
     assert matches == [] and len(clustering) == 0
+    assert rows_digest(*lanes.digest_rows()) == legacy_fingerprint([])
 
 
 # -- the views behave like the lists they replace ---------------------------

@@ -1,5 +1,9 @@
 """Tests for experiments and gold standards."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import Experiment, GoldStandard, Match
@@ -32,6 +36,30 @@ class TestExperimentConstruction:
         experiment = Experiment([("a", "b")])
         assert ("b", "a") in experiment
         assert ("a", "c") not in experiment
+
+    def test_self_pair_is_no_member_and_has_no_score(self):
+        experiment = Experiment([("a", "b", 0.9)])
+        assert ("a", "a") not in experiment
+        assert experiment.score_of("a", "a") is None
+
+
+class TestMatch:
+    def test_is_slotted_and_frozen(self):
+        match = Match(pair=("a", "b"), score=0.5, from_clustering=True)
+        assert not hasattr(match, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            match.score = 0.7
+
+    def test_survives_pickle_copy_and_replace(self):
+        match = Match(pair=("a", "b"), score=0.5, from_clustering=True)
+        assert pickle.loads(pickle.dumps(match)) == match
+        assert copy.deepcopy(match) == match
+        assert dataclasses.replace(match, score=None) == Match(
+            pair=("a", "b"), from_clustering=True
+        )
+        assert dataclasses.asdict(match) == {
+            "pair": ("a", "b"), "score": 0.5, "from_clustering": True,
+        }
 
 
 class TestExperimentViews:

@@ -1,8 +1,16 @@
 """Tests for job specs, sweeps, and content fingerprints."""
 
-import pytest
+import hashlib
+import json
+import math
 
-from repro.core import Dataset, Experiment, GoldStandard, Record
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import Dataset, Experiment, GoldStandard, Match, Record
+from repro.core.pairs import make_pair
 from repro.engine import (
     JobSpec,
     content_fingerprint,
@@ -12,6 +20,57 @@ from repro.engine import (
     gold_fingerprint,
 )
 from repro.engine.jobs import job_cache_key
+
+
+def legacy_fingerprint(experiment):
+    """The experiment digest formula as first written: the test oracle."""
+    encoded = json.dumps(
+        sorted(
+            [
+                match.pair[0],
+                match.pair[1],
+                match.score,
+                match.from_clustering,
+            ]
+            for match in experiment
+        ),
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+_IDS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\n", "é", "日", "😀", "\ud800", ",", "]"]),
+        st.characters(),
+    ),
+    max_size=6,
+)
+_SCORES = st.one_of(
+    st.sampled_from([
+        None, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+        0, 1, -7, True, False, 1.0,
+        np.float64(-0.0), np.float64(0.25), "x],[y",
+    ]),
+    st.floats(),
+    st.integers(),
+)
+
+
+@st.composite
+def random_experiments(draw):
+    pool = draw(st.lists(_IDS, min_size=2, max_size=8, unique=True))
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(pool), st.sampled_from(pool), _SCORES, st.booleans()
+        ).filter(lambda row: row[0] != row[1]),
+        max_size=25,
+    ))
+    return Experiment([
+        Match(pair=make_pair(first, second), score=score, from_clustering=flag)
+        for first, second, score, flag in rows
+    ])
 
 
 class TestJobSpec:
@@ -54,6 +113,27 @@ class TestFingerprints:
         one = Experiment([("a", "b", 0.9)])
         two = Experiment([("a", "b", 0.8)])
         assert experiment_fingerprint(one) != experiment_fingerprint(two)
+
+    @given(experiment=random_experiments())
+    @example(experiment=Experiment([
+        Match(("a", second), score, from_clustering=score is None)
+        for second, score in zip(
+            "bcdefghi", (0.0, -0.0, 0, False, 1, 1.0, True, None)
+        )
+    ]))
+    @settings(max_examples=400, deadline=None)
+    def test_experiment_fingerprint_equals_the_legacy_formula(self, experiment):
+        assert experiment_fingerprint(experiment) == legacy_fingerprint(
+            experiment
+        )
+
+    def test_experiment_fingerprint_is_computed_once(self, monkeypatch):
+        from repro.core import experiment as experiment_module
+
+        experiment = Experiment([("b", "c", 0.5), ("a", "b", 0.9)])
+        first = experiment_fingerprint(experiment)
+        monkeypatch.setattr(experiment_module, "_match_rows", None)
+        assert experiment_fingerprint(experiment) == first
 
     def test_gold_fingerprint_ignores_name(self):
         pairs = [("a", "b"), ("c", "d")]

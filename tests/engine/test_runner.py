@@ -383,6 +383,63 @@ class TestPipelineJobs:
             computed
         )
 
+    def test_metrics_job_reuses_the_pipeline_clustering_and_lanes(
+        self, lane_pipeline, monkeypatch, tmp_path
+    ):
+        from repro.core import experiment as experiment_module
+        from repro.core.clustering import Clustering
+        from repro.datagen import make_person_benchmark
+        from repro.engine import experiment_fingerprint
+
+        benchmark = make_person_benchmark(150, seed=9)
+        dataset, gold = benchmark.dataset.name, benchmark.gold.name
+
+        def platform():
+            fresh = FrostPlatform()
+            fresh.add_dataset(benchmark.dataset)
+            fresh.add_gold(dataset, benchmark.gold)
+            return fresh
+
+        calls = []
+        from_pairs = Clustering.from_pairs.__func__
+        match_rows = experiment_module._match_rows
+
+        def spy_from_pairs(cls, pairs):
+            calls.append("from_pairs")
+            return from_pairs(cls, pairs)
+
+        def spy_match_rows(matches):
+            calls.append("match_rows")
+            return match_rows(matches)
+
+        monkeypatch.setattr(Clustering, "from_pairs", classmethod(spy_from_pairs))
+        monkeypatch.setattr(experiment_module, "_match_rows", spy_match_rows)
+        jobs = [
+            JobSpec("pipeline", {"pipeline": lane_pipeline, "dataset": dataset},
+                    job_id="match"),
+            JobSpec("metrics", {"dataset": dataset, "gold": gold},
+                    job_id="metrics", depends_on=("match",)),
+        ]
+        computed = platform()
+        with FrostStore(tmp_path / "cache.db") as store:
+            cold = ExperimentEngine(computed, store=store).run(jobs)
+        assert [cold[job].cached for job in ("match", "metrics")] == [False, False]
+        assert calls == []
+        digest = experiment_fingerprint(
+            computed.experiment(dataset, lane_pipeline.name)
+        )
+
+        # a cache-served pipeline job registers a deserialized experiment,
+        # whose digest comes from its matches and hits the cached metrics
+        served = platform()
+        with FrostStore(tmp_path / "cache.db") as store:
+            warm = ExperimentEngine(served, store=store).run(jobs)
+        assert [warm[job].cached for job in ("match", "metrics")] == [True, True]
+        assert calls == ["match_rows"]
+        assert experiment_fingerprint(
+            served.experiment(dataset, lane_pipeline.name)
+        ) == digest
+
     def test_pipeline_as_job_graph_matches_direct_run(self, engine, pipeline):
         direct = pipeline.run(engine.platform.dataset("people")).experiment
         graph = pipeline.as_job_graph("people", prefix="graph", register=False)

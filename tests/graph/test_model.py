@@ -114,6 +114,50 @@ class TestNeighbors:
         widened = graph.neighbors("a", k=2, threshold=0.2)
         assert len(widened["neighbors"]) == 3
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_edges_equal_the_full_scan_oracle(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12), label="nodes")
+        all_pairs = list(itertools.combinations(range(n), 2))
+        chosen = data.draw(
+            st.lists(st.sampled_from(all_pairs), unique=True,
+                     max_size=len(all_pairs)) if all_pairs else st.just([]),
+            label="edges",
+        )
+        graph = MatchGraph("g", 0.5)
+        for node in range(n):
+            graph.add_node(f"r{node}")
+        for first, second in chosen:
+            score = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+            if data.draw(st.booleans(), label="reversed"):
+                first, second = second, first
+            graph.add_edge(first, second, score)
+        origin = data.draw(st.integers(min_value=0, max_value=n - 1))
+        k = data.draw(st.integers(min_value=0, max_value=4), label="k")
+        threshold = data.draw(st.sampled_from([None, 0.2, 0.6]))
+        result = graph.neighbors(f"r{origin}", k=k, threshold=threshold)
+        reached = {graph.node_of(row["record"]) for row in result["neighbors"]}
+        assert result["edges"] == [
+            graph._edge_row(first, second)
+            for (first, second), (score, accepted) in sorted(graph._edges.items())
+            if first in reached and second in reached
+            and graph._eligible(score, accepted, threshold)
+        ]
+
+    def test_query_never_scans_the_edge_table(self):
+        class Unscannable(dict):
+            def _refuse(self):
+                raise AssertionError("neighbors() scanned the whole edge table")
+
+            items = keys = values = __iter__ = _refuse
+
+        graph = graph_of([("a", "b", 0.9), ("b", "c", 0.9), ("x", "y", 0.9)])
+        graph._edges = Unscannable(graph._edges)
+        result = graph.neighbors("a", k=2)
+        assert [(edge["first"], edge["second"]) for edge in result["edges"]] == [
+            ("a", "b"), ("b", "c"),
+        ]
+
     def test_negative_k_rejected(self):
         graph = graph_of([("a", "b", 0.9)])
         with pytest.raises(GraphQueryError):

@@ -102,7 +102,7 @@ def test_traced_engine_run_builds_one_coherent_tree(telemetry):
     assert cached_flags == [False, True]
     # the cached job must not re-run the pipeline
     cached_job = next(s for s in jobs if s.annotations.get("cached"))
-    assert _span_names(cached_job) == ["engine.job"]
+    assert _span_names(cached_job) == ["engine.job", "engine.cache_key"]
 
     # shard spans carry the pair counts the workers measured
     shards = [span for span in root.walk() if span.name == "comparison.shard"]
@@ -122,6 +122,31 @@ def test_traced_engine_run_builds_one_coherent_tree(telemetry):
     )
     assert values["frost_clustering_matches_total"] > 0
     assert values["frost_engine_job_seconds_count"] == 2
+
+
+def test_engine_work_inside_a_job_is_traced(telemetry):
+    tracer, _ = telemetry
+    benchmark = make_person_benchmark(120, seed=5)
+    dataset, gold = benchmark.dataset.name, benchmark.gold.name
+    platform = FrostPlatform()
+    platform.add_dataset(benchmark.dataset)
+    platform.add_gold(dataset, benchmark.gold)
+    pipeline, _ = build_pipeline_and_index(CONFIG)
+    engine = ExperimentEngine(platform, max_workers=1)
+
+    with tracer.span("test.run"):
+        engine.run([JobSpec("pipeline", {"pipeline": pipeline, "dataset": dataset},
+                            job_id="match")])
+        engine.run([JobSpec("metrics", {"dataset": dataset, "gold": gold},
+                            job_id="metrics")])
+
+    (root,) = tracer.roots()
+    jobs = {
+        span.annotations["job"]: [child.name for child in span.children]
+        for span in root.walk() if span.name == "engine.job"
+    }
+    assert jobs["match"] == ["engine.cache_key", "pipeline.run", "engine.encode"]
+    assert jobs["metrics"] == ["engine.cache_key"]
 
 
 def test_streaming_ingest_is_traced_and_counted(telemetry):
