@@ -85,7 +85,7 @@ def compare_block(
     and ordered by the caller; the i-th vector of the returned batch
     belongs to the i-th pair.  Counts its work in ``frost_kernel_*``.
     """
-    batch, distinct = score_block(store, pairs, plan)
+    batch, distinct = score_block(store, pairs, plan, store_rows(store, pairs))
     count_kernel_work(len(pairs), distinct)
     return batch
 
@@ -94,10 +94,15 @@ def score_block(
     store: ColumnarStore,
     pairs: Sequence[Pair],
     plan: KernelPlan,
+    rows: tuple[np.ndarray, np.ndarray],
 ) -> tuple[PairBatch, int]:
     """:func:`compare_block` without counting: the batch and its count
     of distinct (attribute, value-pair) scores, which a shard worker
     returns so the parent process counts it.
+
+    ``rows`` holds the store rows of each pair's first and second
+    record, as :func:`~repro.columnar.batch.store_rows` returns them;
+    the comparison stage passes the rows it resolved the pairs with.
     """
     with span(
         "comparison.columnar",
@@ -105,7 +110,7 @@ def score_block(
         attributes=len(plan.attributes),
         rows=len(store),
     ):
-        rows_a, rows_b = store_rows(store, pairs)
+        rows_a, rows_b = rows
         lanes: list[np.ndarray] = []
         nulls: list[np.ndarray] = []
         distinct_total = 0

@@ -15,7 +15,14 @@ processing that let graph DBMSs escape per-object pointer chasing
   plus in-order sequences, ready for the batch kernels of
   :mod:`repro.columnar.kernels`;
 * numeric parses and Soundex codes are likewise precomputed per
-  distinct value.
+  distinct value, and each row's rank in sorted record-id order lets
+  the comparison stage order candidate pairs by integers.
+
+The layout is append-only: :meth:`ColumnarStore.extend` appends rows
+for new record ids and interns only values the pool lacks, and every
+derived array covers a prefix of the pool (or of the rows) that its
+accessor extends over whatever was added since.  Building a store is
+extending an empty one, so one code path derives each value once.
 
 Because interning is exact (case-sensitive, byte-for-byte), value-id
 equality is string equality, and every derivation equals what the
@@ -33,6 +40,7 @@ touches.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -55,9 +63,9 @@ class ColumnarStore:
 
     Build with :meth:`from_dataset` (rows aligned with the dataset's
     dense numeric ids) or :meth:`from_records` (any mapping of record
-    id → :class:`~repro.core.records.Record`, e.g. the resolved
-    candidate view of the comparison stage or a streaming session's
-    live registry).
+    id → :class:`~repro.core.records.Record`, e.g. the candidates'
+    records of the comparison stage), and grow with :meth:`extend`
+    (a streaming session's layout, rows aligned with its numeric ids).
     """
 
     def __init__(
@@ -85,27 +93,34 @@ class ColumnarStore:
         self._row_of: dict[str, int] = {
             record_id: row for row, record_id in enumerate(self.row_ids)
         }
+        # value -> vid, built on the first extend (slices never extend)
+        self._vid_of: dict[str, int] | None = None
         self._reset_derived()
 
     def _reset_derived(self) -> None:
-        # Derived arrays are per *distinct value* and shared across
-        # attributes (the same string yields the same tokens wherever
-        # it appears); each is built lazily on first kernel use.
-        self._token_sequences: list[tuple[str, ...]] | None = None
+        # Derived arrays are per *distinct value* (shared across
+        # attributes: the same string yields the same tokens wherever
+        # it appears) or per row.  Each covers a prefix — its length —
+        # and is extended by its accessor on first use after a growth.
+        self._token_sequences: list[tuple[str, ...]] = []
         self._token_csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._token_vocab: dict[str, int] = {}
         self._ngram_csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._numeric: tuple[np.ndarray, np.ndarray] | None = None
-        self._soundex: np.ndarray | None = None
-        self._token_vocab: dict[str, int] | None = None
+        self._ngram_vocab: dict[int, dict[str, int]] = {}
+        self._numeric = (
+            np.empty(0, dtype=np.float64), np.empty(0, dtype=bool)
+        )
+        self._soundex = np.empty(0, dtype=np.int32)
+        self._soundex_ids: dict[str, int] = {"0000": 0}
+        self._ranks = np.empty(0, dtype=np.int64)
+        self._sorted_ids: list[str] = []
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "ColumnarStore":
         """Columns over a dataset, rows aligned with its numeric ids."""
-        return cls._build(
-            list(dataset), dataset.attributes, [r.record_id for r in dataset]
-        )
+        return cls._empty(dataset.attributes).extend(dataset)
 
     @classmethod
     def from_records(
@@ -114,34 +129,56 @@ class ColumnarStore:
         attributes: Sequence[str],
     ) -> "ColumnarStore":
         """Columns over a record mapping, rows in mapping order."""
-        ordered = list(records.values())
-        return cls._build(ordered, attributes, [r.record_id for r in ordered])
+        return cls._empty(attributes).extend(records.values())
 
     @classmethod
-    def _build(
-        cls,
-        records: Sequence[Record],
-        attributes: Sequence[str],
-        row_ids: Sequence[str],
-    ) -> "ColumnarStore":
-        values: list[str | None] = [None]
-        vid_of: dict[str, int] = {}
-        columns: dict[str, np.ndarray] = {}
-        for attribute in attributes:
-            column = np.empty(len(records), dtype=np.int32)
-            for row, record in enumerate(records):
+    def _empty(cls, attributes: Sequence[str]) -> "ColumnarStore":
+        return cls(
+            attributes, (), [None],
+            {attribute: _EMPTY_COLUMN for attribute in attributes},
+        )
+
+    def extend(self, records: Iterable[Record]) -> "ColumnarStore":
+        """Append rows for the records whose ids are new; returns ``self``.
+
+        Rows keep arrival order after the existing ones, so row ids stay
+        stable.  Values are interned attribute by attribute, and only
+        values the pool lacks get new value ids; derived arrays catch
+        up lazily in their accessors.  Records whose id the store
+        already holds are skipped — records are immutable.
+        """
+        row_of = self._row_of
+        fresh: list[Record] = []
+        for record in records:
+            if record.record_id not in row_of:
+                row_of[record.record_id] = len(self.row_ids) + len(fresh)
+                fresh.append(record)
+        if not fresh:
+            return self
+        values = self._values
+        vid_of = self._vid_of
+        if vid_of is None:
+            vid_of = self._vid_of = {
+                value: vid for vid, value in enumerate(values) if vid
+            }
+        for attribute in self.attributes:
+            column: list[int] = []
+            for record in fresh:
                 value = record.value(attribute)
                 if value is None:
-                    column[row] = NULL_VID
+                    column.append(NULL_VID)
                     continue
                 vid = vid_of.get(value)
                 if vid is None:
                     vid = len(values)
                     vid_of[value] = vid
                     values.append(value)
-                column[row] = vid
-            columns[attribute] = column
-        return cls(attributes, row_ids, values, columns)
+                column.append(vid)
+            self._columns[attribute] = np.concatenate(
+                (self._columns[attribute], np.asarray(column, dtype=np.int32))
+            )
+        self.row_ids += tuple(record.record_id for record in fresh)
+        return self
 
     # -- container protocol -------------------------------------------------
 
@@ -195,20 +232,16 @@ class ColumnarStore:
             },
         )
 
-    # -- derived per-distinct-value arrays ----------------------------------
+    # -- derived arrays -----------------------------------------------------
 
     def token_sequences(self) -> list[tuple[str, ...]]:
         """In-order word-token tuples per value id (Monge–Elkan order)."""
-        if self._token_sequences is None:
-            self._token_sequences = [()] + [
-                _token_tuple(value) for value in self._values[1:]
-            ]
-        return self._token_sequences
-
-    def _vocab(self) -> dict[str, int]:
-        if self._token_vocab is None:
-            self._token_vocab = {}
-        return self._token_vocab
+        sequences = self._token_sequences
+        sequences.extend(
+            _token_tuple(value) if value is not None else ()
+            for value in self._values[len(sequences):]
+        )
+        return sequences
 
     def token_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted unique token ids per value id, CSR layout.
@@ -219,31 +252,32 @@ class ColumnarStore:
         equality and set sizes/intersections equal the scalar
         ``frozenset`` derivations exactly.
         """
-        if self._token_csr is None:
-            vocab = self._vocab()
-            self._token_csr = _build_csr(
+        covered = _csr_rows(self._token_csr)
+        if covered < len(self._values):
+            self._token_csr = _extend_csr(
+                self._token_csr,
                 (
-                    sorted({token for token in sequence})
-                    for sequence in self.token_sequences()
+                    sorted(set(sequence))
+                    for sequence in self.token_sequences()[covered:]
                 ),
-                vocab,
+                self._token_vocab,
             )
         return self._token_csr
 
     def ngram_csr(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted unique character n-gram ids per value id, CSR layout."""
-        cached = self._ngram_csr.get(n)
-        if cached is None:
-            vocab: dict[str, int] = {}
-            cached = _build_csr(
+        csr = self._ngram_csr.get(n)
+        covered = _csr_rows(csr)
+        if covered < len(self._values):
+            csr = self._ngram_csr[n] = _extend_csr(
+                csr,
                 (
                     sorted(ngrams(value, n)) if value is not None else ()
-                    for value in self._values
+                    for value in self._values[covered:]
                 ),
-                vocab,
+                self._ngram_vocab.setdefault(n, {}),
             )
-            self._ngram_csr[n] = cached
-        return cached
+        return csr
 
     def numeric(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-vid ``(parsed, usable)`` arrays for the numeric kernel.
@@ -253,20 +287,25 @@ class ColumnarStore:
         scores with the relative-distance formula; everything else
         (unparsable or non-finite) takes its exact-equality fallback.
         """
-        if self._numeric is None:
-            parsed = np.zeros(len(self._values), dtype=np.float64)
-            usable = np.zeros(len(self._values), dtype=bool)
-            for vid, value in enumerate(self._values):
-                if vid == NULL_VID:
+        covered = len(self._numeric[0])
+        if covered < len(self._values):
+            added = self._values[covered:]
+            parsed = np.zeros(len(added), dtype=np.float64)
+            usable = np.zeros(len(added), dtype=bool)
+            for offset, value in enumerate(added):
+                if value is None:
                     continue
                 try:
                     number = float(value)
                 except ValueError:
                     continue
                 if math.isfinite(number):
-                    parsed[vid] = number
-                    usable[vid] = True
-            self._numeric = (parsed, usable)
+                    parsed[offset] = number
+                    usable[offset] = True
+            self._numeric = (
+                np.concatenate((self._numeric[0], parsed)),
+                np.concatenate((self._numeric[1], usable)),
+            )
         return self._numeric
 
     def soundex_codes(self) -> np.ndarray:
@@ -276,17 +315,54 @@ class ColumnarStore:
         so kernels can apply the exact-equality fallback by comparing
         against 0.
         """
-        if self._soundex is None:
-            code_ids: dict[str, int] = {"0000": 0}
-            codes = np.zeros(len(self._values), dtype=np.int32)
-            for vid, value in enumerate(self._values):
-                if vid == NULL_VID:
-                    continue
-                code = soundex(value)
-                code_id = code_ids.setdefault(code, len(code_ids))
-                codes[vid] = code_id
-            self._soundex = codes
+        covered = len(self._soundex)
+        if covered < len(self._values):
+            code_ids = self._soundex_ids
+            codes = np.asarray(
+                [
+                    0 if value is None
+                    else code_ids.setdefault(soundex(value), len(code_ids))
+                    for value in self._values[covered:]
+                ],
+                dtype=np.int32,
+            )
+            self._soundex = np.concatenate((self._soundex, codes))
         return self._soundex
+
+    def id_ranks(self) -> np.ndarray:
+        """Each row's ``int64`` position in sorted record-id order.
+
+        Pairs ordered by their rows' ``(rank, rank)`` are ordered
+        exactly as :func:`sorted` orders their id tuples.  Rows added by
+        :meth:`extend` are sorted among themselves and merged into the
+        existing order; older rows shift by the new ids sorting before
+        them.
+        """
+        covered = len(self._ranks)
+        if covered < len(self.row_ids):
+            row_ids = self.row_ids
+            rows = sorted(range(covered, len(row_ids)), key=row_ids.__getitem__)
+            added = [row_ids[row] for row in rows]
+            old = self._sorted_ids
+            points = np.fromiter(
+                (bisect_left(old, record_id) for record_id in added),
+                dtype=np.int64,
+                count=len(added),
+            )
+            ranks = np.empty(len(row_ids), dtype=np.int64)
+            ranks[:covered] = self._ranks + np.searchsorted(
+                points, self._ranks, side="right"
+            )
+            ranks[rows] = points + np.arange(len(added), dtype=np.int64)
+            merged: list[str] = []
+            start = 0
+            for point, record_id in zip(points.tolist(), added):
+                merged.extend(old[start:point])
+                merged.append(record_id)
+                start = point
+            merged.extend(old[start:])
+            self._ranks, self._sorted_ids = ranks, merged
+        return self._ranks
 
     # -- slicing and the wire -----------------------------------------------
 
@@ -345,24 +421,40 @@ class ColumnarStore:
         )
 
 
-def _build_csr(
-    id_lists: Iterable[Sequence[str]], vocab: dict[str, int]
+_EMPTY_COLUMN = np.empty(0, dtype=np.int32)
+
+
+def _csr_rows(csr: tuple[np.ndarray, np.ndarray] | None) -> int:
+    """How many value ids a CSR pair covers."""
+    return 0 if csr is None else len(csr[0]) - 1
+
+
+def _extend_csr(
+    csr: tuple[np.ndarray, np.ndarray] | None,
+    id_lists: Iterable[Sequence[str]],
+    vocab: dict[str, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, ids)`` arrays over per-value sorted string lists.
+    """CSR ``(indptr, ids)`` arrays extended by per-value string lists.
 
     Interns each string into ``vocab`` — ids are assigned in first-use
     order, then each row is re-sorted by id so kernels can merge rows
-    as sorted runs.
+    as sorted runs.  Rows are visited in value-id order, so extending a
+    CSR piecewise assigns the same ids as building it in one go.
     """
-    indptr = [0]
+    indptr, ids = csr if csr is not None else (_EMPTY_INDPTR, _EMPTY_IDS)
+    base = int(indptr[-1])
+    offsets: list[int] = []
     flat: list[int] = []
     for strings in id_lists:
-        row = sorted(
-            vocab.setdefault(string, len(vocab)) for string in strings
+        flat.extend(
+            sorted(vocab.setdefault(string, len(vocab)) for string in strings)
         )
-        flat.extend(row)
-        indptr.append(len(flat))
+        offsets.append(base + len(flat))
     return (
-        np.asarray(indptr, dtype=np.int64),
-        np.asarray(flat, dtype=np.int64),
+        np.concatenate((indptr, np.asarray(offsets, dtype=np.int64))),
+        np.concatenate((ids, np.asarray(flat, dtype=np.int64))),
     )
+
+
+_EMPTY_INDPTR = np.zeros(1, dtype=np.int64)
+_EMPTY_IDS = np.empty(0, dtype=np.int64)

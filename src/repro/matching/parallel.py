@@ -22,6 +22,12 @@ produced — the parallel path is **byte-identical** to
   one :class:`~repro.columnar.PairBatch` — vector *values* are
   unaffected because the similarity functions are pure.
 
+The global order itself comes from the store: each pair's two ids are
+looked up as store rows once, and the pairs are ordered by the rows'
+integer ranks in sorted record-id order
+(:meth:`~repro.columnar.ColumnarStore.id_ranks`), which is exactly the
+order :func:`sorted` gives the id tuples.
+
 Comparators the kernels cannot plan (subclasses and duck-typed
 objects, see :func:`repro.columnar.plan_for`) are scored by the serial
 row loop, whatever the parallelism settings.
@@ -38,6 +44,7 @@ import logging
 import time
 import zlib
 from collections.abc import Iterable, Sequence
+from itertools import chain, repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +52,6 @@ import numpy as np
 from repro.columnar import (
     ColumnarStore,
     PairBatch,
-    compare_block,
     count_fallback,
     count_kernel_work,
     count_store_build,
@@ -230,6 +236,10 @@ def resolve_candidates(
     session's prepared view).  Pairs whose records were deleted between
     blocking and scoring are dropped instead of raising ``KeyError`` —
     the caller decides how loudly to report the returned missing ids.
+
+    Used by the serial row loop of comparators without a kernel plan;
+    the kernel path resolves through store rows (:func:`_store_order`)
+    to the same pairs in the same order.
     """
     ordered = sorted(candidates)
     resolved: dict[str, Record] = {}
@@ -248,6 +258,62 @@ def resolve_candidates(
             if pair[0] not in missing and pair[1] not in missing
         ]
     return ordered, resolved, sorted(missing)
+
+
+def _store_order(
+    store: ColumnarStore, candidates: Sequence[Pair]
+) -> tuple[list[Pair], tuple[np.ndarray, np.ndarray], list[str]]:
+    """Candidates in sorted order with their store rows, plus missing ids.
+
+    Looks both ids of every pair up in ``store.row_index`` in one pass;
+    ids the store lacks are the missing records, and their pairs are
+    dropped.  The rest are ordered by their rows' ``(rank, rank)``
+    integers, which orders them exactly like ``sorted(candidates)`` —
+    duplicates and non-canonical pairs included — without comparing a
+    single string.
+    """
+    rows = np.fromiter(
+        map(store.row_index.get, chain.from_iterable(candidates), repeat(-1)),
+        dtype=np.int64,
+        count=2 * len(candidates),
+    ).reshape(-1, 2)
+    absent = rows < 0
+    missing: list[str] = []
+    kept = np.arange(len(candidates))
+    if absent.any():
+        positions, sides = np.nonzero(absent)
+        missing = sorted({
+            candidates[position][side]
+            for position, side in zip(positions.tolist(), sides.tolist())
+        })
+        kept = np.flatnonzero(~absent.any(axis=1))
+        rows = rows[kept]
+    ranks = store.id_ranks()
+    order = np.argsort(
+        ranks[rows[:, 0]] * len(ranks) + ranks[rows[:, 1]], kind="stable"
+    )
+    ordered = [candidates[position] for position in kept[order].tolist()]
+    rows = rows[order]
+    return ordered, (rows[:, 0].copy(), rows[:, 1].copy()), missing
+
+
+def _candidate_store(
+    records, candidates: Sequence[Pair], attributes: Sequence[str]
+) -> ColumnarStore:
+    """A store over the records the candidates name, for callers without one.
+
+    Rows follow the distinct ids in sorted order, so interning does not
+    depend on set iteration order (or the hash seed); ids ``records``
+    lacks are left out and resolve as missing.
+    """
+    found: dict[str, Record] = {}
+    for record_id in sorted({rid for pair in candidates for rid in pair}):
+        try:
+            found[record_id] = records[record_id]
+        except KeyError:
+            pass
+    count_store_build()
+    return ColumnarStore.from_records(found, attributes)
 
 
 # Columnar shard of work: (pairs, the column *slice* those pairs touch).
@@ -293,7 +359,9 @@ def _compare_shard_columnar(task: _ColumnarShardTask):
 
     started = time.perf_counter()
     pairs, store = task
-    batch, distinct = score_block(store, pairs, plan_for(shared_state()))
+    batch, distinct = score_block(
+        store, pairs, plan_for(shared_state()), store_rows(store, pairs)
+    )
     return time.perf_counter() - started, batch.lanes, batch.nulls, distinct
 
 
@@ -322,29 +390,36 @@ def compare_pairs_sharded(
     exercise the sharded code path without forking.
 
     ``store`` optionally supplies a prebuilt :class:`ColumnarStore`
-    covering the candidate records (e.g. the layout cached on the
-    prepared dataset) so the comparison pass skips re-interning; it is
-    used only if every resolved record is present, and never changes
-    scores — kernels read interned *values*, not row positions.
+    holding the records (the layout of a prepared dataset or of a
+    streaming session), so the comparison pass skips interning.  Its
+    rows resolve the pairs: an id it lacks is a missing record.  It is
+    used when it covers the comparator's attributes; otherwise, and
+    without one, a store is built over the candidates' records.  Scores
+    never depend on the store — kernels read interned *values*, not
+    row positions.
     """
     config = config or ParallelConfig()
     tracer = _tracing.get_tracer()
-    ordered, resolved, missing = resolve_candidates(records, candidates)
-    _PAIRS_COMPARED.inc(len(ordered))
     plan = plan_for(comparator)
     if plan is None:
+        ordered, resolved, missing = resolve_candidates(records, candidates)
+        _PAIRS_COMPARED.inc(len(ordered))
         count_fallback(len(ordered))
         with tracer.span("comparison.serial", pairs=len(ordered)):
             return compare_pairs(resolved, ordered, comparator), missing
-    if (
-        store is None
-        or any(a not in store.attributes for a in comparator.attributes)
-        or any(record_id not in store for record_id in resolved)
+    candidates = (
+        candidates if isinstance(candidates, (list, tuple)) else list(candidates)
+    )
+    if store is None or any(
+        attribute not in store.attributes for attribute in plan.attributes
     ):
-        store = ColumnarStore.from_records(resolved, comparator.attributes)
-        count_store_build()
+        store = _candidate_store(records, candidates, plan.attributes)
+    ordered, rows, missing = _store_order(store, candidates)
+    _PAIRS_COMPARED.inc(len(ordered))
     if executor is None and not config.engaged(len(ordered)):
-        return compare_block(store, ordered, plan), missing
+        batch, distinct = score_block(store, ordered, plan, rows)
+        count_kernel_work(len(ordered), distinct)
+        return batch, missing
     if executor is None:
         from repro.engine.executors import executor_for
 
@@ -378,12 +453,14 @@ def compare_pairs_sharded(
         # Each shard holds its pairs in global sorted order, so
         # scattering shard outputs back to their positions reproduces
         # the serial scan.
-        return _merge_lanes(store, ordered, plan.attributes, positions,
+        return _merge_lanes(store, ordered, rows, plan.attributes, positions,
                             payloads), missing
 
 
-def _merge_lanes(store, ordered, attributes, positions, payloads) -> PairBatch:
-    """One batch over ``ordered`` from the shards' lanes and nulls."""
+def _merge_lanes(
+    store, ordered, rows, attributes, positions, payloads
+) -> PairBatch:
+    """One batch over ``ordered`` (at store ``rows``) from shard lanes."""
     lanes = [np.zeros(len(ordered)) for _ in attributes]
     nulls = [np.zeros(len(ordered), dtype=bool) for _ in attributes]
     for where, (_, shard_lanes, shard_nulls, _) in zip(positions, payloads):
@@ -392,7 +469,7 @@ def _merge_lanes(store, ordered, attributes, positions, payloads) -> PairBatch:
         ):
             lane[where] = shard_lane
             null[where] = shard_null
-    rows_a, rows_b = store_rows(store, ordered)
+    rows_a, rows_b = rows
     return PairBatch(
         ordered, rows_a, rows_b, store.row_ids, attributes, lanes, nulls
     )

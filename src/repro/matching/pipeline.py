@@ -304,9 +304,10 @@ class MatchingPipeline:
                 candidates,
                 self.comparator,
                 config=self.parallelism,
-                # reuse the layout prepare() built; never built here —
-                # streaming registries and ad-hoc mappings pass None and
-                # the comparison stage interns just the touched records
+                # score against the layout prepare() built, or the one a
+                # streaming session's registry view carries; ad-hoc
+                # mappings pass None and the comparison stage interns
+                # just the touched records
                 store=getattr(prepared, "_columnar_store", None),
             )
             span.annotate(vectors=len(vectors), missing=len(missing))

@@ -15,6 +15,8 @@ import json
 import sqlite3
 import threading
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.blocking_disk.store import BLOCKING_SCHEMA, DiskBlockingStore
@@ -210,13 +212,19 @@ class FrostStore:
     ``":memory:"`` would each see a private, empty database.  Sharing
     is crash-safe (CPython's ``sqlite3`` serializes statement
     execution, ``sqlite3.threadsafety == 3``) but, as in the original
-    single-connection design, same-connection readers are **not**
+    single-connection design, single-statement readers are **not**
     isolated from a concurrent multi-statement write transaction —
     production serving should use a file-backed store, which is what
     ``python -m repro serve`` does.  In both modes, multi-statement
     writes serialize behind :attr:`_lock` and run inside explicit
     transactions with foreign keys enforced, so a failed import never
     leaves partial rows behind.
+
+    A multi-statement read (:meth:`load_stream`, :meth:`load_graph`)
+    is one snapshot: a file-backed store runs it as one read
+    transaction on the calling thread's connection, and an in-memory
+    store holds :attr:`_lock` for it, so a write committed meanwhile
+    lands in the document entirely or not at all.
     """
 
     _BUSY_TIMEOUT_MS = 10_000
@@ -303,6 +311,30 @@ class FrostStore:
             connection = self._connect()
             self._local.connection = connection
         return connection
+
+    @contextmanager
+    def _snapshot(self) -> Iterator[sqlite3.Connection]:
+        """The calling thread's connection, reading one consistent state.
+
+        A file store opens a read transaction (``BEGIN`` … ``COMMIT``),
+        so writes on other connections commit either before the read
+        or after it.  The in-memory store's one connection is shared
+        with its writers, where a ``BEGIN`` would collide with their
+        transactions, so the read holds the writers' lock instead.
+        """
+        if self._in_memory:
+            with self._lock:
+                yield self._shared_connection
+            return
+        connection = self._connection
+        if connection.in_transaction:  # already inside one snapshot
+            yield connection
+            return
+        connection.execute("BEGIN")
+        try:
+            yield connection
+        finally:
+            connection.commit()
 
     def close(self) -> None:
         """Close every pooled connection (all threads' handles)."""
@@ -767,39 +799,40 @@ class FrostStore:
         ``blocks`` rows ``(block_key, numeric_id)``, ``merges`` rows
         ``(batch_index, first_numeric, second_numeric, score)`` in
         ingest order, and ``snapshots`` as keyword-ready dictionaries,
-        oldest first.
+        oldest first — all read from one snapshot of the store.
         """
-        stream_id = self._stream_id(name)
-        records = [
-            (numeric_id, native_id, json.loads(payload))
-            for numeric_id, native_id, payload in self._connection.execute(
-                "SELECT numeric_id, native_id, payload FROM stream_records "
-                "WHERE stream_id = ? ORDER BY numeric_id",
-                (stream_id,),
+        with self._snapshot() as connection:
+            stream_id = self._stream_id(name)
+            records = [
+                (numeric_id, native_id, json.loads(payload))
+                for numeric_id, native_id, payload in connection.execute(
+                    "SELECT numeric_id, native_id, payload FROM stream_records "
+                    "WHERE stream_id = ? ORDER BY numeric_id",
+                    (stream_id,),
+                )
+            ]
+            blocks = list(
+                connection.execute(
+                    "SELECT block_key, numeric_id FROM stream_blocks "
+                    "WHERE stream_id = ? ORDER BY block_key, numeric_id",
+                    (stream_id,),
+                )
             )
-        ]
-        blocks = list(
-            self._connection.execute(
-                "SELECT block_key, numeric_id FROM stream_blocks "
-                "WHERE stream_id = ? ORDER BY block_key, numeric_id",
-                (stream_id,),
+            merges = list(
+                connection.execute(
+                    "SELECT batch_index, first_numeric, second_numeric, score "
+                    "FROM stream_merges WHERE stream_id = ? "
+                    "ORDER BY batch_index, merge_index",
+                    (stream_id,),
+                )
             )
-        )
-        merges = list(
-            self._connection.execute(
-                "SELECT batch_index, first_numeric, second_numeric, score "
-                "FROM stream_merges WHERE stream_id = ? "
-                "ORDER BY batch_index, merge_index",
-                (stream_id,),
-            )
-        )
-        return {
-            "config": self.stream_config(name),
-            "records": records,
-            "blocks": blocks,
-            "merges": merges,
-            "snapshots": self.stream_snapshot_lineage(name),
-        }
+            return {
+                "config": self.stream_config(name),
+                "records": records,
+                "blocks": blocks,
+                "merges": merges,
+                "snapshots": self.stream_snapshot_lineage(name),
+            }
 
     # -- match graphs --------------------------------------------------------------
 
@@ -966,34 +999,36 @@ class FrostStore:
         ``(node_id, native_id)`` ordered by node id, ``edges`` rows
         ``(first_node, second_node, score, accepted, breakdown_json)``
         in canonical pair order, and ``components`` rows
-        ``(node_id, component)``.
+        ``(node_id, component)`` — all read from one snapshot of the
+        store.
         """
-        meta = self.graph_meta(name)
-        graph_id = self._graph_id(name)
-        nodes = list(
-            self._connection.execute(
-                "SELECT node_id, native_id FROM graph_nodes "
-                "WHERE graph_id = ? ORDER BY node_id",
-                (graph_id,),
+        with self._snapshot() as connection:
+            meta = self.graph_meta(name)
+            graph_id = self._graph_id(name)
+            nodes = list(
+                connection.execute(
+                    "SELECT node_id, native_id FROM graph_nodes "
+                    "WHERE graph_id = ? ORDER BY node_id",
+                    (graph_id,),
+                )
             )
-        )
-        edges = [
-            (first, second, score, bool(accepted), breakdown)
-            for first, second, score, accepted, breakdown
-            in self._connection.execute(
-                "SELECT first_node, second_node, score, accepted, breakdown "
-                "FROM graph_edges WHERE graph_id = ? "
-                "ORDER BY first_node, second_node",
-                (graph_id,),
+            edges = [
+                (first, second, score, bool(accepted), breakdown)
+                for first, second, score, accepted, breakdown
+                in connection.execute(
+                    "SELECT first_node, second_node, score, accepted, "
+                    "breakdown FROM graph_edges WHERE graph_id = ? "
+                    "ORDER BY first_node, second_node",
+                    (graph_id,),
+                )
+            ]
+            components = list(
+                connection.execute(
+                    "SELECT node_id, component FROM graph_components "
+                    "WHERE graph_id = ? ORDER BY node_id",
+                    (graph_id,),
+                )
             )
-        ]
-        components = list(
-            self._connection.execute(
-                "SELECT node_id, component FROM graph_components "
-                "WHERE graph_id = ? ORDER BY node_id",
-                (graph_id,),
-            )
-        )
         return {
             "meta": meta,
             "nodes": nodes,

@@ -13,6 +13,12 @@ blocking is exact for key-based schemes and connected components are
 order-independent — the clustering after ``k`` ingests is identical to
 a full batch recompute over the union of all ingested records.
 
+Each session owns one append-only columnar layout
+(:class:`~repro.columnar.ColumnarStore`) whose rows are its numeric ids:
+built on the first ingest (or adopted from the resumed records'
+prepared dataset), extended by every batch, and scored against by the
+comparison stage, so a batch interns only its own records.
+
 Sessions are optionally durable: given a
 :class:`~repro.storage.database.FrostStore`, every ingest persists the
 new records, their block memberships, the accepted-match merge log, and
@@ -28,6 +34,12 @@ import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.columnar import (
+    ColumnarStore,
+    KernelPlan,
+    count_store_build,
+    plan_for,
+)
 from repro.columnar.batch import accepted_pairs
 from repro.core.clustering import Clustering
 from repro.core.experiment import Experiment, Match
@@ -136,13 +148,18 @@ class _PreparedView:
     :meth:`MatchingPipeline.compare_candidates` only needs
     ``prepared[record_id]``; this avoids rebuilding a full
     :class:`Dataset` over all session records on every ingest (which
-    would defeat the point of incrementality).
+    would defeat the point of incrementality).  It carries the
+    session's layout where a prepared :class:`Dataset` carries its own,
+    so the comparison stage scores against it.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "_columnar_store")
 
-    def __init__(self, records: Mapping[str, Record]) -> None:
+    def __init__(
+        self, records: Mapping[str, Record], layout: ColumnarStore | None
+    ) -> None:
         self._records = records
+        self._columnar_store = layout
 
     def __getitem__(self, record_id: str) -> Record:
         return self._records[record_id]
@@ -189,6 +206,9 @@ class StreamingMatcher:
         self._unionfind = PairCountingUnionFind(0)
         self._snapshots: list[StreamSnapshot] = []
         self._accepted: list[ScoredPair] = []
+        # Columnar layout of the prepared records, rows = numeric ids;
+        # None until the first ingest or after a rolled-back one.
+        self._layout: ColumnarStore | None = None
         self._graph = None
         self._lock = threading.Lock()
         if store is not None and not _resuming:
@@ -380,10 +400,15 @@ class StreamingMatcher:
             self._raw[raw.record_id] = raw
             self._prepared[raw.record_id] = clean
 
+        plan = plan_for(self.pipeline.comparator)
+        if plan is not None:
+            with get_tracer().span("stream.layout", records=len(batch)):
+                self._extend_layout(prepared, plan)
+
         # Steps 2-4 on the delta only.
         delta = self.index.ingest_delta(prepared)
         vectors = self.pipeline.compare_candidates(
-            _PreparedView(self._prepared), delta.pairs
+            _PreparedView(self._prepared, self._layout), delta.pairs
         )
         scored = self.pipeline.score_vectors(vectors)
         accepted = accepted_pairs(scored, self.pipeline.threshold)
@@ -410,6 +435,7 @@ class StreamingMatcher:
                 self._persist_batch(batch, delta.memberships, accepted,
                                     snapshot)
             except BaseException:
+                self._layout = None
                 self._unionfind = unionfind_backup
                 self.index.retract(delta)
                 del self._accepted[len(self._accepted) - len(accepted):]
@@ -432,6 +458,22 @@ class StreamingMatcher:
             )
         self._snapshots.append(snapshot)
         return snapshot
+
+    def _extend_layout(self, prepared: Dataset, plan: KernelPlan) -> None:
+        """Append the prepared batch to the layout, building it if absent.
+
+        The registry already holds the batch, so a missing layout (a
+        fresh session, or one whose last ingest rolled back) is built
+        from the whole registry in numeric-id order instead.
+        """
+        if self._layout is None:
+            self._layout = ColumnarStore.from_records(
+                self._prepared, plan.attributes
+            )
+            count_store_build()
+        else:
+            self._layout.extend(prepared)
+        plan.warm(self._layout)
 
     # -- durability ------------------------------------------------------------
 
@@ -505,6 +547,8 @@ class StreamingMatcher:
             )
             for record in prepared:
                 session._prepared[record.record_id] = record
+            # prepare() laid the records out in numeric-id order already
+            session._layout = getattr(prepared, "_columnar_store", None)
         index.restore(
             (key, session._native[numeric_id])
             for key, numeric_id in state["blocks"]

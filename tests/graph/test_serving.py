@@ -131,12 +131,15 @@ class TestGraphServing:
 
         def reader() -> None:
             seen = 2
-            while not stop.is_set():
-                count = serving.graph_summary_payload("s")["node_count"]
-                if count < seen:
-                    failures.append(f"node_count went backwards: {count}")
-                    return
-                seen = count
+            try:
+                while not stop.is_set():
+                    count = serving.graph_summary_payload("s")["node_count"]
+                    if count < seen:
+                        failures.append(f"node_count went backwards: {count}")
+                        return
+                    seen = count
+            except Exception as error:
+                failures.append(f"reader died: {error!r}")
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for thread in threads:

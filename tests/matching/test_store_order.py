@@ -1,0 +1,107 @@
+"""Kernel-path resolution: candidates ordered through integer store rows.
+
+The comparison stage looks both ids of every candidate pair up as store
+rows and orders the pairs by the rows' ranks in sorted record-id order.
+That order must be exactly ``sorted(candidates)`` — with duplicates,
+non-canonical pairs, ids sharing prefixes, non-ASCII ids and lone
+surrogates — and the rows must be the ones ``store_rows`` looks up.
+:func:`resolve_candidates`, the row loop's resolution, is the oracle.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.columnar import ColumnarStore
+from repro.columnar.batch import store_rows
+from repro.core.records import Record
+from repro.matching.attribute_matching import AttributeComparator
+from repro.matching.parallel import (
+    ParallelConfig,
+    _store_order,
+    compare_pairs_sharded,
+    resolve_candidates,
+)
+
+ids = st.text(
+    alphabet=["a", "b", "B", "0", "é", "ß", "日", "\ud800", "\udfff", "\U0001F600"],
+    max_size=4,
+)
+
+
+@st.composite
+def scenarios(draw):
+    known = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
+    gone = draw(st.lists(ids.filter(lambda rid: rid not in known), max_size=3))
+    everyone = known + gone
+    candidates = draw(st.lists(
+        st.tuples(st.sampled_from(everyone), st.sampled_from(everyone)),
+        max_size=30,
+    ))
+    # the store grows in batches, so its ranks are merged, not sorted once
+    cuts = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=len(known)), max_size=3
+    )))
+    return known, candidates, cuts
+
+
+def grown_store(known, cuts):
+    store = ColumnarStore.from_records({}, ["name"])
+    for start, end in zip([0, *cuts], [*cuts, len(known)]):
+        store.extend(Record(rid, {"name": f"v{rid}"}) for rid in known[start:end])
+    return store
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_rank_order_equals_sorted_candidates(scenario):
+    known, candidates, cuts = scenario
+    store = grown_store(known, cuts)
+    records = {rid: store.record(rid) for rid in known}
+
+    ordered, (rows_a, rows_b), missing = _store_order(store, candidates)
+
+    expected, _, expected_missing = resolve_candidates(records, candidates)
+    assert ordered == expected
+    assert missing == expected_missing
+    oracle_a, oracle_b = store_rows(store, ordered)
+    assert np.array_equal(rows_a, oracle_a)
+    assert np.array_equal(rows_b, oracle_b)
+
+
+@given(scenarios())
+@settings(max_examples=40, deadline=None)
+def test_compared_pairs_come_back_in_sorted_order(scenario):
+    known, candidates, cuts = scenario
+    store = grown_store(known, cuts)
+    records = {rid: store.record(rid) for rid in known}
+    comparator = AttributeComparator({"name": "jaro_winkler"})
+    expected, _, expected_missing = resolve_candidates(records, candidates)
+    for kwargs in ({"store": store}, {}):
+        vectors, missing = compare_pairs_sharded(
+            records, candidates, comparator, **kwargs
+        )
+        assert [vector.pair for vector in vectors] == expected
+        assert missing == expected_missing
+
+
+def test_sharded_batch_keeps_resolved_rows():
+    known = [f"r{index}" for index in range(9)]
+    store = grown_store(known, [4])
+    records = {rid: store.record(rid) for rid in known}
+    candidates = [("r8", "r1"), ("r2", "r3"), ("r1", "r8"), ("r2", "r3"),
+                  ("r0", "gone")]
+    comparator = AttributeComparator({"name": "levenshtein"})
+    serial, _ = compare_pairs_sharded(records, candidates, comparator, store=store)
+    sharded, missing = compare_pairs_sharded(
+        records, candidates, comparator,
+        config=ParallelConfig(workers=2, shards=3, min_pairs=0), store=store,
+    )
+    assert missing == ["gone"]
+    assert sharded == serial
+    assert sharded.pairs == sorted(candidates[:4])
+    assert np.array_equal(sharded.rows_a, serial.rows_a)
+    assert np.array_equal(sharded.rows_b, serial.rows_b)
+    assert [sharded.row_ids[row] for row in sharded.rows_a.tolist()] == [
+        pair[0] for pair in sharded.pairs
+    ]
