@@ -34,8 +34,8 @@ from repro.streaming import build_pipeline_and_index
 
 # The person benchmark's attributes under a measure mix that exercises
 # every kernel family: memoized string measures (monge_elkan on both
-# name fields, as in bench_parallel), set overlap (token_jaccard,
-# ngram_jaccard), and the elementwise numeric lane.
+# name fields), set overlap (token_jaccard, ngram_jaccard), and the
+# elementwise numeric lane.
 CONFIG = {
     "key": {"kind": "first_token", "attribute": "last_name"},
     "similarities": {
@@ -71,11 +71,11 @@ def test_kernel_speedup_and_identity():
             prepared, sorted(candidates), columnar_pipeline.comparator
         )
 
-    # Steady-state methodology (same as bench_parallel): one untimed
-    # warmup pass per path primes process-wide state — the scalar
-    # loop's tokenizer/ngram lru caches, the kernels' distinct-pair
-    # memos, numpy's allocator — then a single timed pass measures
-    # each path doing the same fully-warm work.
+    # Steady-state methodology: one untimed warmup pass per path
+    # primes process-wide state — the scalar loop's tokenizer/ngram lru
+    # caches, the kernels' distinct-pair memos, numpy's allocator —
+    # then a single timed pass measures each path doing the same
+    # fully-warm work.
     columnar_pipeline.compare_candidates(prepared, candidates)
     started = time.perf_counter()
     columnar_vectors = columnar_pipeline.compare_candidates(

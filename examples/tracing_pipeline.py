@@ -3,15 +3,16 @@
 
 The telemetry subsystem (:mod:`repro.telemetry`) records every pipeline
 stage as a span — including the engine job that wraps it and the
-process-pool comparison shards inside it — and counts cache hits,
+columnar comparison kernels inside it — and counts cache hits,
 candidate pairs, and compared pairs in a process-wide metrics registry.
 This example:
 
-1. enables the default tracer and runs a parallel matching pipeline
-   through the execution engine, twice (the second run hits the
-   engine's result cache);
-2. prints the resulting span tree — one line per stage, with wall time
-   and annotations like pair counts and ``cached=True``;
+1. enables the default tracer and runs a matching pipeline through the
+   execution engine, twice (the second run hits the engine's result
+   cache);
+2. prints the resulting span tree — one line per stage, with wall
+   time, self time and annotations like pair counts and
+   ``cached=True``;
 3. prints the metrics registry in Prometheus text format, the same
    document ``GET /metrics`` serves.
 
@@ -49,9 +50,6 @@ def main() -> None:
     platform.add_gold(dataset.name, gold)
 
     pipeline, _ = build_pipeline_and_index(CONFIG)
-    # Force the sharded process-pool comparison path so the trace shows
-    # spans recorded inside pool workers and merged into the tree.
-    pipeline = pipeline.with_parallelism(workers=2, shards=4, min_pairs=0)
 
     tracer = get_tracer()
     registry = get_metrics()

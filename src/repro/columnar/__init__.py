@@ -15,9 +15,7 @@ from repro.columnar.batch import PairBatch, ScoredBatch, accepted_pairs
 from repro.columnar.compare import (
     compare_block,
     count_fallback,
-    count_kernel_work,
     count_store_build,
-    score_block,
 )
 from repro.columnar.kernels import Kernel, KernelPlan, kernel_for, plan_for
 from repro.columnar.store import NULL_VID, ColumnarStore
@@ -30,11 +28,9 @@ __all__ = [
     "kernel_for",
     "plan_for",
     "compare_block",
-    "score_block",
     "PairBatch",
     "ScoredBatch",
     "accepted_pairs",
     "count_fallback",
-    "count_kernel_work",
     "count_store_build",
 ]

@@ -36,7 +36,7 @@ from repro.core.pairs import Pair
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import span
 
-__all__ = ["compare_block", "score_block"]
+__all__ = ["compare_block"]
 
 _KERNEL_PAIRS = get_metrics().counter(
     "frost_kernel_pairs_total",
@@ -67,42 +67,22 @@ def count_fallback(pairs: int) -> None:
         _KERNEL_FALLBACK.inc(pairs)
 
 
-def count_kernel_work(pairs: int, distinct: int) -> None:
-    """Record pairs and distinct value pairs the kernels scored."""
-    _KERNEL_PAIRS.inc(pairs)
-    if distinct:
-        _KERNEL_DISTINCT.inc(distinct)
-
-
 def compare_block(
     store: ColumnarStore,
     pairs: Sequence[Pair],
     plan: KernelPlan,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PairBatch:
     """Similarity vectors of ``pairs``, scored by batch kernels.
 
     ``pairs`` must already be canonical (:func:`repro.core.pairs.make_pair`)
     and ordered by the caller; the i-th vector of the returned batch
     belongs to the i-th pair.  Counts its work in ``frost_kernel_*``.
-    """
-    batch, distinct = score_block(store, pairs, plan, store_rows(store, pairs))
-    count_kernel_work(len(pairs), distinct)
-    return batch
-
-
-def score_block(
-    store: ColumnarStore,
-    pairs: Sequence[Pair],
-    plan: KernelPlan,
-    rows: tuple[np.ndarray, np.ndarray],
-) -> tuple[PairBatch, int]:
-    """:func:`compare_block` without counting: the batch and its count
-    of distinct (attribute, value-pair) scores, which a shard worker
-    returns so the parent process counts it.
 
     ``rows`` holds the store rows of each pair's first and second
     record, as :func:`~repro.columnar.batch.store_rows` returns them;
-    the comparison stage passes the rows it resolved the pairs with.
+    the comparison stage passes the rows it resolved the pairs with,
+    and without them they are looked up here.
     """
     with span(
         "comparison.columnar",
@@ -110,7 +90,7 @@ def score_block(
         attributes=len(plan.attributes),
         rows=len(store),
     ):
-        rows_a, rows_b = rows
+        rows_a, rows_b = store_rows(store, pairs) if rows is None else rows
         lanes: list[np.ndarray] = []
         nulls: list[np.ndarray] = []
         distinct_total = 0
@@ -132,6 +112,9 @@ def score_block(
                 distinct_total += len(unique)
             lanes.append(lane)
             nulls.append(~present)
+        _KERNEL_PAIRS.inc(len(pairs))
+        if distinct_total:
+            _KERNEL_DISTINCT.inc(distinct_total)
         return PairBatch(
             pairs, rows_a, rows_b, store.row_ids, plan.attributes, lanes, nulls
-        ), distinct_total
+        )

@@ -36,16 +36,14 @@ Built-in job kinds:
     optional ``blocker`` (a JSON key config such as ``{"kind": "lsh",
     "bands": 16}`` swapping the candidate generator per job — part of
     the cache token, because different blockers produce different
-    results), optional ``workers`` / ``shards`` (sharded parallel
-    comparison; deliberately absent from the cache token because
-    parallel output is byte-identical to serial, so a cached serial
-    result serves a parallel request and vice versa).
+    results), optional ``blocking_storage`` (``"memory"`` or
+    ``"disk"``; absent from the cache token because both produce the
+    same candidates).
 ``pipeline_stage``
     One stage of a pipeline expressed as a job graph (see
     :meth:`MatchingPipeline.as_job_graph`); not cacheable because the
     intermediates are in-memory objects.  The ``candidates`` stage
-    honours the optional ``blocker`` param, the ``similarity`` stage
-    the same optional ``workers`` / ``shards`` params.
+    honours the optional ``blocker`` param.
 ``stream_ingest``
     Fold one record batch into a live
     :class:`~repro.streaming.StreamingMatcher`.  Params: ``session``,
@@ -693,8 +691,8 @@ class ExperimentEngine:
         # The blocker override is part of the fingerprinted pipeline
         # (with_blocker changes the candidate_generator token), so the
         # cache distinguishes runs with different blocker configs —
-        # while workers/shards overrides, which cannot change output,
-        # share one cache entry.
+        # while a blocking_storage override, which cannot change
+        # output, shares one cache entry.
         return {
             "dataset": self.platform.dataset(params["dataset"]),
             "pipeline": self._selected_pipeline(params).config_fingerprint(),
@@ -718,31 +716,16 @@ class ExperimentEngine:
 
         return pipeline.with_blocker(candidate_generator_from_key(blocker))
 
-    @classmethod
-    def _configured_pipeline(cls, params: Mapping[str, object]):
-        """The job's pipeline with execution params applied.
-
-        ``blocker``/``workers``/``shards``/``blocking_storage`` are
-        execution knobs: like the pipeline attributes they override,
-        none of them participates in the job's cache key (the output
-        cannot depend on them).
-        """
-        pipeline = cls._selected_pipeline(params)
-        blocking_storage = params.get("blocking_storage")
-        if blocking_storage is not None:
-            pipeline = pipeline.with_blocking_storage(str(blocking_storage))
-        workers = params.get("workers")
-        shards = params.get("shards")
-        if workers is None and shards is None:
-            return pipeline
-        # with_parallelism handles a shards-only override (engages all
-        # cores rather than silently staying serial).
-        return pipeline.with_parallelism(workers=workers, shards=shards)
-
     def _compute_pipeline(
         self, params: Mapping[str, object], inputs: Sequence[object]
     ) -> PipelineRun:
-        pipeline = self._configured_pipeline(params)
+        pipeline = self._selected_pipeline(params)
+        # blocking_storage is an execution knob: like the pipeline
+        # attribute it overrides, it stays out of the job's cache key
+        # (the output cannot depend on it).
+        blocking_storage = params.get("blocking_storage")
+        if blocking_storage is not None:
+            pipeline = pipeline.with_blocking_storage(str(blocking_storage))
         return pipeline.run(self.platform.dataset(params["dataset"]))
 
     def _register_pipeline_result(
@@ -789,9 +772,7 @@ class ExperimentEngine:
             return self._selected_pipeline(params).generate_candidates(prepared)
         if stage == "similarity":
             prepared, candidates = inputs
-            return self._configured_pipeline(params).compare_candidates(
-                prepared, candidates
-            )
+            return pipeline.compare_candidates(prepared, candidates)
         if stage == "decision":
             (vectors,) = inputs
             return pipeline.score_vectors(vectors)

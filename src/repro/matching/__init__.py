@@ -22,14 +22,10 @@ from repro.matching.blocking import (
     token_blocking,
 )
 from repro.matching.clustering_algorithms import CLUSTERING_ALGORITHMS
+from repro.matching.comparison import score_candidates
 from repro.matching.fusion import FUSION_STRATEGIES, fuse_cluster, fuse_dataset
 from repro.matching.lsh import LshBlocking, LshConfig, MinHasher, lsh_blocking
 from repro.matching.ml import LogisticRegressionModel, NaiveBayesModel
-from repro.matching.parallel import (
-    ParallelConfig,
-    compare_pairs_sharded,
-    partition_pairs,
-)
 from repro.matching.pipeline import (
     MatchingPipeline,
     PipelineRun,
@@ -55,7 +51,6 @@ __all__ = [
     "MatchingPipeline",
     "MinHasher",
     "NaiveBayesModel",
-    "ParallelConfig",
     "PipelineRun",
     "Rule",
     "RuleSet",
@@ -65,7 +60,6 @@ __all__ = [
     "attribute_threshold_rule",
     "best_threshold",
     "compare_pairs",
-    "compare_pairs_sharded",
     "first_token_key",
     "full_pairs",
     "fuse_cluster",
@@ -73,8 +67,8 @@ __all__ = [
     "lowercase_values",
     "lsh_blocking",
     "normalize_whitespace",
-    "partition_pairs",
     "prefix_key",
+    "score_candidates",
     "sorted_neighborhood",
     "soundex_key",
     "standard_blocking",

@@ -112,7 +112,7 @@ def record_tokens(
 
 @dataclass(frozen=True)
 class LshConfig:
-    """Tunable MinHash-LSH parameters (JSON round-trip like ``ParallelConfig``).
+    """Tunable MinHash-LSH parameters (JSON round-trip via :meth:`as_dict`).
 
     Attributes
     ----------

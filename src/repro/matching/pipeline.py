@@ -34,8 +34,8 @@ from repro.matching.clustering_algorithms import (
     CLUSTERING_ALGORITHMS,
     connected_components,
 )
+from repro.matching.comparison import score_candidates
 from repro.matching.fusion import fuse_dataset
-from repro.matching.parallel import ParallelConfig, compare_pairs_sharded
 from repro.telemetry import metrics as _telemetry_metrics
 from repro.telemetry import spans as _tracing
 
@@ -96,19 +96,6 @@ def lowercase_values(record: Record) -> Record:
     return Record(record_id=record.record_id, values=lowered)
 
 
-def _coerce_parallelism(
-    parallelism: ParallelConfig | Mapping[str, object] | int | None,
-) -> ParallelConfig:
-    """Normalize the ``parallelism`` knob's accepted forms."""
-    if parallelism is None:
-        return ParallelConfig()
-    if isinstance(parallelism, ParallelConfig):
-        return parallelism
-    if isinstance(parallelism, int):
-        return ParallelConfig(workers=parallelism)
-    return ParallelConfig.from_dict(dict(parallelism))
-
-
 @dataclass
 class PipelineRun:
     """All intermediate and final outputs of one pipeline execution.
@@ -161,15 +148,6 @@ class MatchingPipeline:
         dataset.
     name / solution:
         Labels attached to the resulting experiment.
-    parallelism:
-        Sharded execution of the comparison stage: a
-        :class:`~repro.matching.parallel.ParallelConfig`, a plain
-        ``workers`` integer, or a ``{"workers": ..., "shards": ...}``
-        mapping (the JSON-config form).  The default keeps the serial
-        path.  Parallel output is byte-identical to serial, so this
-        knob is deliberately absent from :meth:`config_fingerprint` —
-        the engine's result cache must not distinguish runs that
-        cannot differ.
     blocking_storage:
         ``"memory"`` (default) runs the candidate generator as-is;
         ``"disk"`` pushes blocking into SQLite via
@@ -178,8 +156,9 @@ class MatchingPipeline:
         streamed in bounded chunks, so blocking memory stays O(chunk)
         instead of O(corpus).  Candidate sets are identical either
         way (generators without a pushdown plan fall back in-memory
-        with a warning), so this too is an execution knob, absent
-        from :meth:`config_fingerprint`.
+        with a warning), so this is an execution knob, absent from
+        :meth:`config_fingerprint` — the engine's result cache must
+        not distinguish runs that cannot differ.
     """
 
     def __init__(
@@ -194,7 +173,6 @@ class MatchingPipeline:
         fusion_strategies: Mapping[str, object] | None = None,
         name: str = "pipeline-run",
         solution: str = "pipeline",
-        parallelism: ParallelConfig | Mapping[str, object] | int | None = None,
         blocking_storage: str = "memory",
     ) -> None:
         self.candidate_generator = candidate_generator
@@ -215,7 +193,6 @@ class MatchingPipeline:
         self.fusion_strategies = fusion_strategies
         self.name = name
         self.solution = solution
-        self.parallelism = _coerce_parallelism(parallelism)
         self.blocking_storage = _coerce_blocking_storage(blocking_storage)
 
     # -- stages (each one is a node of the job graph) ---------------------------
@@ -291,19 +268,15 @@ class MatchingPipeline:
         sequence of vectors); a comparator without a kernel plan is
         scored by the serial row loop into a list.
 
-        With :attr:`parallelism` configured, large candidate sets are
-        partitioned into deterministic shards and scored on a process
-        pool (:mod:`repro.matching.parallel`); the merged output is
-        byte-identical to the serial loop.  Pairs whose records were
-        deleted between blocking and scoring are skipped with a
-        warning instead of raising ``KeyError``.
+        Scoring runs in this process (:mod:`repro.matching.comparison`).
+        Pairs whose records were deleted between blocking and scoring
+        are skipped with a warning instead of raising ``KeyError``.
         """
         with _tracing.span("pipeline.similarity") as span:
-            vectors, missing = compare_pairs_sharded(
+            vectors, missing = score_candidates(
                 prepared,
                 candidates,
                 self.comparator,
-                config=self.parallelism,
                 # score against the layout prepare() built, or the one a
                 # streaming session's registry view carries; ad-hoc
                 # mappings pass None and the comparison stage interns
@@ -453,43 +426,13 @@ class MatchingPipeline:
 
     # -- engine integration -----------------------------------------------------
 
-    def with_parallelism(
-        self,
-        workers: int | None = None,
-        shards: int | None = None,
-        min_pairs: int | None = None,
-    ) -> "MatchingPipeline":
-        """A shallow copy with the given sharded-execution settings.
-
-        Shares every stage object (comparator, decision model, …) with
-        the original — only the execution strategy differs, never the
-        output.  Used by the engine and CLI to apply per-invocation
-        ``--workers``/``--shards`` overrides without mutating a shared
-        pipeline.
-
-        A ``shards`` override against a serial base still means "go
-        parallel": the worker count defaults to all cores (``0``) so
-        the requested sharding is not a silent no-op — the same rule
-        :meth:`ParallelConfig.from_dict` applies to JSON configs.
-        """
-        base = self.parallelism
-        if workers is None and shards is not None and base.resolved_workers() == 1:
-            workers = 0
-        clone = copy.copy(self)
-        clone.parallelism = ParallelConfig(
-            workers=base.workers if workers is None else workers,
-            shards=base.shards if shards is None else shards,
-            min_pairs=base.min_pairs if min_pairs is None else min_pairs,
-        )
-        return clone
-
     def with_blocking_storage(self, blocking_storage: str) -> "MatchingPipeline":
         """A shallow copy with blocking routed to memory or disk.
 
-        Like :meth:`with_parallelism` this only changes *how* candidate
-        generation executes, never its output — the SQL-pushdown plans
-        produce candidate sets identical to the in-memory blockers (and
-        generators without a plan fall back to the in-memory call).
+        This only changes *how* candidate generation executes, never
+        its output — the SQL-pushdown plans produce candidate sets
+        identical to the in-memory blockers (and generators without a
+        plan fall back to the in-memory call).
         """
         clone = copy.copy(self)
         clone.blocking_storage = _coerce_blocking_storage(blocking_storage)
@@ -498,9 +441,9 @@ class MatchingPipeline:
     def with_blocker(self, candidate_generator: CandidateGenerator) -> "MatchingPipeline":
         """A shallow copy running a different candidate generator.
 
-        Unlike :meth:`with_parallelism` this **changes the output**, so
-        it also changes :meth:`config_fingerprint` (the generator is
-        part of the token): the engine's result cache distinguishes a
+        Unlike :meth:`with_blocking_storage` this **changes the
+        output**, so it also changes :meth:`config_fingerprint` (the
+        generator is part of the token): the engine's result cache distinguishes a
         token-blocked run from an LSH-blocked run of the same pipeline,
         and two LSH configs from each other — provided the generator
         exposes a ``config_fingerprint`` (as
@@ -517,11 +460,10 @@ class MatchingPipeline:
         Used by :mod:`repro.engine` to content-address pipeline job
         results.  Callables are tokenized by qualified name, so custom
         steps should be module-level functions (not lambdas closing
-        over differing constants).  :attr:`parallelism` and
-        :attr:`blocking_storage` are deliberately excluded: sharded and
-        disk-backed execution are byte-identical to the serial
-        in-memory path, and a fingerprint that varied with them would
-        split the cache across entries that hold the same result.
+        over differing constants).  :attr:`blocking_storage` is
+        deliberately excluded: disk-backed blocking is byte-identical
+        to the in-memory path, and a fingerprint that varied with it
+        would split the cache across entries that hold the same result.
         """
         from repro.engine.jobs import content_fingerprint
 

@@ -419,18 +419,6 @@ class TfIdfCosine:
                 self._vector_cache[value] = cached
         return cached
 
-    def __getstate__(self) -> dict[str, object]:
-        """Pickle without the vector cache.
-
-        Sharded parallel comparison ships comparators to worker
-        processes; the cache is derived state that every worker can
-        rebuild for exactly the values it touches, so serializing it
-        would only bloat the per-shard payload.
-        """
-        state = dict(self.__dict__)
-        state["_vector_cache"] = {}
-        return state
-
     def config_fingerprint(self) -> dict[str, object]:
         """Content token for the engine's cache keys.
 

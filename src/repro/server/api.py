@@ -46,18 +46,18 @@ The ``/jobs`` routes are served by the execution engine
 re-submissions are answered from the content-addressed result cache.
 The ``/streams`` routes front the incremental streaming subsystem
 (:mod:`repro.streaming`): each batch POST runs as a ``stream_ingest``
-engine job and returns the new versioned clustering snapshot.  A
-stream's JSON config may carry a ``"parallelism"`` object
-(``{"workers": 4, "shards": 16}``, see
-:mod:`repro.streaming.config`) to score delta batches on a sharded
-process pool; ``GET /streams/{s}`` reports it, and the scored output
-is byte-identical to a serial session's.  The config's ``"key"`` may
-select approximate MinHash-LSH blocking (``{"kind": "lsh",
-"num_perm": 128, "bands": 32}``, see :mod:`repro.matching.lsh`);
+engine job and returns the new versioned clustering snapshot; the
+stream's JSON config is described in :mod:`repro.streaming.config`.
+Its ``"key"`` may select approximate MinHash-LSH blocking
+(``{"kind": "lsh", "num_perm": 128, "bands": 32}``, see
+:mod:`repro.matching.lsh`);
 malformed blocker configs — unknown keys, non-integer values, bands
 that do not divide the permutation count, windowed schemes with no
 delta decomposition — are rejected as 400s at creation time, never as
-failed ingests later.
+failed ingests later.  A request that finds the store unavailable —
+closed, write-locked by another connection past its busy timeout, or
+full — gets a 503 with a ``Retry-After`` header instead of a 400 or
+500: the request was fine, and may succeed later.
 
 Expensive GET evaluations (metrics, diagram, profile, categorize,
 timeline, intersection) are served through the concurrent serving
@@ -76,11 +76,14 @@ invalidates the graph's cached traversal payloads.
 
 from __future__ import annotations
 
+import re
+import sqlite3
 import threading
 from collections.abc import Mapping
 
 from repro.core.platform import FrostPlatform
 from repro.serving.service import ServingLayer
+from repro.storage.database import StorageError
 from repro.telemetry import current_request_id, get_metrics, render_prometheus
 
 __all__ = ["ApiError", "FrostApi"]
@@ -90,13 +93,41 @@ __all__ = ["ApiError", "FrostApi"]
 _API_JOB_KINDS = frozenset({"metrics", "diagram"})
 
 
-class ApiError(Exception):
-    """An API-level error with an HTTP-ish status code."""
+# Seconds a client is asked to wait (``Retry-After``) before retrying
+# a request that found the store unavailable.
+RETRY_AFTER_SECONDS = 1
 
-    def __init__(self, status: int, message: str) -> None:
+
+class ApiError(Exception):
+    """An API-level error with an HTTP-ish status code.
+
+    ``retry_after`` (seconds), when set, is sent as the response's
+    ``Retry-After`` header.
+    """
+
+    def __init__(
+        self, status: int, message: str, retry_after: int | None = None
+    ) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+        self.retry_after = retry_after
+
+
+def _store_unavailable(error: str) -> ApiError | None:
+    """The 503 answering a ``"Type: message"`` error, if it is one.
+
+    An unavailable store was closed, had its write lock held by another
+    connection past the busy timeout, or is full.
+    """
+    if not re.match(
+        r"StorageError: store .* is closed$"
+        r"|OperationalError: database is locked"
+        r"|OperationalError: database or disk is full",
+        error,
+    ):
+        return None
+    return ApiError(503, error, retry_after=RETRY_AFTER_SECONDS)
 
 
 class FrostApi:
@@ -174,8 +205,8 @@ class FrostApi:
 
         ``method`` and ``body`` (a parsed JSON document) matter only
         for the ``POST /jobs`` route; everything else is GET.  Raises
-        :class:`ApiError` with status 404 for unknown routes or names
-        and 400 for bad parameters.
+        :class:`ApiError` with status 404 for unknown routes or names,
+        400 for bad parameters and 503 when the store is unavailable.
         """
         query = dict(query or {})
         parts = [part for part in path.split("/") if part]
@@ -185,6 +216,11 @@ class FrostApi:
             raise ApiError(404, str(missing)) from None
         except ValueError as bad:
             raise ApiError(400, str(bad)) from None
+        except (StorageError, sqlite3.OperationalError) as error:
+            unavailable = _store_unavailable(f"{type(error).__name__}: {error}")
+            if unavailable is None:
+                raise
+            raise unavailable from None
 
     def _dispatch(
         self, parts: list[str], query: dict[str, str], method: str, body: object
@@ -522,21 +558,20 @@ class FrostApi:
     def _stream(self, name: str):
         with self._streams_lock:
             session = self._streams.get(name)
-        if session is None and self._store is not None:
+        if (
+            session is None
+            and self._store is not None
+            and name in self._store.stream_names()
+        ):
             # A durable stream created by an earlier process: resume it
             # *outside* the lock (a resume replays the full stream and
             # must not stall requests to other, already-loaded streams),
             # then publish double-checked — the first resume wins.
-            from repro.storage.database import StorageError
             from repro.streaming import open_session
 
-            try:
-                resumed = open_session(self._store, name)
-            except StorageError:
-                resumed = None
-            if resumed is not None:
-                with self._streams_lock:
-                    session = self._streams.setdefault(name, resumed)
+            resumed = open_session(self._store, name)
+            with self._streams_lock:
+                session = self._streams.setdefault(name, resumed)
         if session is None:
             raise ApiError(404, f"no stream named {name!r}")
         return session
@@ -611,6 +646,9 @@ class FrostApi:
         result = self.engine.result(job_id)
         if result.state.value != "succeeded":
             error = result.error or "stream ingest failed"
+            unavailable = _store_unavailable(error)
+            if unavailable is not None:
+                raise unavailable
             # client-input failures (duplicate ids, malformed batches)
             # are 400s; anything else is a genuine server-side error
             client_errors = (

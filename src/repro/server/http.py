@@ -187,7 +187,7 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
             # echoed back as X-Request-Id and bound to this handler
             # thread (plus the request span) so every log line and span
             # the request produces — here, in the serving layer, on
-            # engine workers, in folded process-pool shards — shares it.
+            # engine workers — shares it.
             request_id = (
                 (self.headers.get("X-Request-Id") or "").strip()
                 or new_request_id()
@@ -214,6 +214,7 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
                     status = 200 if ready else 503
                     self._respond(status, payload)
                 else:
+                    retry_after = None
                     try:
                         payload = api.handle(
                             parsed.path, query, method=method, body=body
@@ -222,6 +223,7 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
                     except ApiError as error:
                         payload = {"error": error.message, "status": error.status}
                         status = error.status
+                        retry_after = error.retry_after
                     except Exception as error:  # noqa: BLE001 - wire boundary
                         # Anything unexpected (storage contention, a
                         # bug) must still answer: an unanswered
@@ -232,7 +234,7 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
                             "status": 500,
                         }
                         status = 500
-                    self._respond(status, payload)
+                    self._respond(status, payload, retry_after=retry_after)
                 http_span.annotate(status=status)
             duration_ms = (time.perf_counter() - started) * 1000.0
             _observe_request(parsed.path, duration_ms / 1000.0)
@@ -258,11 +260,17 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
             )
 
         def _respond(
-            self, status: int, payload: object, close: bool = False
+            self,
+            status: int,
+            payload: object,
+            close: bool = False,
+            retry_after: int | None = None,
         ) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            if retry_after is not None:
+                self.send_header("Retry-After", str(retry_after))
             if close:
                 # also sets close_connection, ending the keep-alive loop
                 self.send_header("Connection", "close")

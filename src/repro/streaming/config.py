@@ -21,11 +21,6 @@ store when a durable session is resumed.  Schema::
       "similarities": {"name": "jaro_winkler", "zip": "exact"},
       "threshold": 0.6,
       "preparers": ["normalize_whitespace"],
-      "parallelism": {                # optional sharded delta scoring
-        "workers": 4,                 # 0/null = all cores, 1 = serial
-        "shards": 16,                 # default: 4 x workers
-        "min_pairs": 2048             # serial below this delta size
-      },
       "blocking_storage": "disk",     # optional: "memory" (default) or
                                       # "disk" — SQLite-backed blocking
                                       # (identical candidates, bounded
@@ -48,6 +43,9 @@ banding being append-only — the delta/batch equivalence holds exactly
 like for the key-based schemes.  Windowed schemes (sorted neighborhood)
 are rejected with an explicit error: their candidates depend on the
 global sort order, so no append-only delta decomposition exists.
+
+Keys outside the schema are dropped on validation, so a stream stored
+with a retired key (``"columnar"``, ``"parallelism"``) still resumes.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ from repro.matching.pipeline import (
     lowercase_values,
     normalize_whitespace,
 )
-from repro.matching.parallel import ParallelConfig
 from repro.matching.similarity import SIMILARITY_FUNCTIONS
 from repro.streaming.delta_blocking import (
     IncrementalBlockingIndex,
@@ -160,17 +157,12 @@ def validate_config(config: Mapping[str, object]) -> dict[str, object]:
         if name not in PREPARERS:
             known = ", ".join(sorted(PREPARERS))
             raise ValueError(f"unknown preparer {name!r}; known: {known}")
-    # from_dict validates shape and key names; round-tripping through
-    # ParallelConfig normalizes the stored document.
-    parallelism = ParallelConfig.from_dict(config.get("parallelism"))
     normalized = {
         "key": dict(key),
         "similarities": dict(similarities),
         "threshold": threshold,
         "preparers": list(preparers),
     }
-    if config.get("parallelism") is not None:
-        normalized["parallelism"] = parallelism.as_dict()
     blocking_storage = config.get("blocking_storage", "memory")
     if blocking_storage not in ("memory", "disk"):
         raise ValueError(
@@ -331,7 +323,6 @@ def _build_pipeline_and_index(
         clustering="connected_components",
         name="streaming-config",
         solution="streaming",
-        parallelism=ParallelConfig.from_dict(config.get("parallelism")),
         blocking_storage=storage,
     )
     return pipeline, _delta_index(key, storage)

@@ -216,7 +216,11 @@ class StreamingMatcher:
 
             try:
                 store.create_stream(name, dict(config or {}))
-            except StorageError:
+            except StorageError as error:
+                # only a taken name is the caller's mistake; a closed
+                # store stays a StorageError
+                if "already stored" not in str(error):
+                    raise
                 raise StreamError(
                     f"stream {name!r} already exists in the store; "
                     "use StreamingMatcher.resume() to reopen it"
@@ -275,7 +279,6 @@ class StreamingMatcher:
                 "graph": (
                     self._graph.graph.name if self._graph is not None else None
                 ),
-                "parallelism": self.pipeline.parallelism.as_dict(),
                 "blocking_storage": self.pipeline.blocking_storage,
                 "latest": latest,
                 "snapshots": [s.as_dict() for s in self._snapshots],
@@ -339,11 +342,10 @@ class StreamingMatcher:
         Only the delta work is performed: the batch is prepared, delta
         candidates are drawn from the index, scored with the pipeline's
         comparator and decision model, and accepted matches (``score >=
-        threshold``) are unioned into the persistent clustering.  When
-        the pipeline carries a parallelism config, large delta batches
-        are scored on a sharded process pool
-        (:mod:`repro.matching.parallel`) with output identical to the
-        serial path.  Thread-safe (ingests serialize on an internal
+        threshold``) are unioned into the persistent clustering.  Delta
+        scoring runs in this process (:mod:`repro.matching.comparison`),
+        on the session's columnar layout when the comparator has a
+        kernel plan.  Thread-safe (ingests serialize on an internal
         lock) so batches may be submitted through the engine's worker
         pool.
         """

@@ -8,7 +8,8 @@ Three consumers, three formats:
 * **scrapers** — :func:`render_prometheus` produces the text
   exposition format (version 0.0.4) served by ``GET /metrics``;
 * **humans** — :func:`render_span_tree` draws the span hierarchy with
-  per-stage timings, which is what ``python -m repro trace`` prints.
+  each span's duration and self time, which is what
+  ``python -m repro trace`` prints.
 """
 
 from __future__ import annotations
@@ -141,7 +142,11 @@ def _tree_lines(span: Span, prefix: str, is_last: bool, is_root: bool) -> list[s
     else:
         connector = prefix + ("└─ " if is_last else "├─ ")
         child_prefix = prefix + ("   " if is_last else "│  ")
-    seconds = "?" if span.seconds is None else f"{span.seconds * 1000:9.2f} ms"
+    seconds = (
+        "?" if span.seconds is None
+        else f"{span.seconds * 1000:9.2f} ms  self "
+        f"{span.self_seconds() * 1000:.2f} ms"
+    )
     lines = [f"{connector}{span.name}  {seconds}{_annotation_text(span)}"]
     for index, child in enumerate(span.children):
         lines.extend(
@@ -153,5 +158,10 @@ def _tree_lines(span: Span, prefix: str, is_last: bool, is_root: bool) -> list[s
 
 
 def render_span_tree(root: Span) -> str:
-    """An indented, human-readable tree of one trace with timings."""
+    """An indented, human-readable tree of one trace with timings.
+
+    Each finished span shows its duration and its self time
+    (:meth:`~repro.telemetry.spans.Span.self_seconds`), the part no
+    child span accounts for.
+    """
     return "\n".join(_tree_lines(root, "", True, True))

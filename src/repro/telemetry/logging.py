@@ -10,12 +10,12 @@ two carriers:
   and :class:`~repro.telemetry.spans.Tracer` propagates the
   ``request_id`` annotation to child spans, including spans activated
   from a captured :meth:`~repro.telemetry.spans.Tracer.context` on
-  engine workers and the folded-in process-pool shard spans.
+  engine workers.
 
 :func:`current_request_id` checks both carriers, so one log line
 emitted anywhere along a request's execution — the access log, the
-serving layer, an engine worker, the shard dispatcher — resolves the
-same id.  :class:`RequestIdFilter` stamps it onto every log record and
+serving layer, an engine worker — resolves the same id.
+:class:`RequestIdFilter` stamps it onto every log record and
 :class:`JsonFormatter` renders records as one JSON object per line;
 :func:`configure_structured_logging` wires both into the root logger.
 """

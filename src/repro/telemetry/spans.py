@@ -1,25 +1,21 @@
 """Low-overhead span tracing for pipeline and serving observability.
 
 A *span* is one named, timed unit of work — a pipeline stage, an engine
-job, a comparison shard — with free-form annotations (record counts,
-cache hits) and child spans.  :class:`Tracer` maintains a thread-local
-span stack, so nesting falls out of lexical structure::
+job, a comparison kernel pass — with free-form annotations (record
+counts, cache hits) and child spans.  :class:`Tracer` maintains a
+thread-local span stack, so nesting falls out of lexical structure::
 
     with tracer.span("pipeline.run", records=len(dataset)):
         with tracer.span("pipeline.prepare"):
             ...
 
-Crossing execution boundaries needs *explicit* context propagation,
-because a thread-local stack does not follow the work:
-
-* **thread pools** — capture :meth:`Tracer.context` on the submitting
-  thread, then wrap the worker-side execution in
-  :meth:`Tracer.activate`; the engine's job runner does exactly this,
-  so job spans hang off the span that submitted them;
-* **process pools** — a worker process cannot share the parent's span
-  tree at all, so externally-timed work is folded back in with
-  :meth:`Tracer.record` (the comparison-shard workers time themselves
-  and the parent records one completed child span per shard).
+Crossing a thread boundary needs *explicit* context propagation,
+because a thread-local stack does not follow the work: capture
+:meth:`Tracer.context` on the submitting thread, then wrap the
+worker-side execution in :meth:`Tracer.activate`.  The engine's job
+runner does exactly this, so job spans hang off the span that
+submitted them.  All work runs in one process, so every span is an
+interval this tracer measured itself.
 
 Tracing is **disabled by default** and must stay near-free that way:
 the pipeline's hot paths call :func:`span` unconditionally, so a
@@ -84,6 +80,33 @@ class Span:
             "seconds": self.seconds,
             "annotations": dict(self.annotations),
         }
+
+    def self_seconds(self) -> float | None:
+        """Seconds of this span that no child span covers.
+
+        :attr:`seconds` minus the union of the children's intervals
+        (``started_at`` to ``started_at + seconds``, clipped to this
+        span's own).  The union, not the sum: jobs submitted from one
+        span run concurrently on the engine pool, so their intervals
+        overlap.  ``None`` while the span is open; never negative.
+        """
+        if self.seconds is None:
+            return None
+        start = self.started_at
+        end = start + self.seconds
+        covered = 0.0
+        reach = start
+        for low, high in sorted(
+            (max(child.started_at, start),
+             min(child.started_at + child.seconds, end))
+            for child in self.children
+            if child.seconds is not None
+        ):
+            low = max(low, reach)
+            if high > low:
+                covered += high - low
+                reach = high
+        return max(0.0, self.seconds - covered)
 
     def walk(self):
         """This span and every descendant, depth-first."""
@@ -221,33 +244,6 @@ class Tracer:
             return wrapper
 
         return decorate
-
-    def record(
-        self, name: str, seconds: float, **annotations: object
-    ) -> Span | None:
-        """Fold externally-timed work in as one completed child span.
-
-        For work that ran where this tracer could not see it — a
-        process-pool shard, a remote call — but whose duration the
-        caller knows.  No-op while disabled.
-        """
-        if not self.enabled:
-            return None
-        span = Span(name, None, dict(annotations))
-        span.seconds = seconds
-        span.started_at = time.time() - seconds
-        parent = self.current()
-        if parent is not None and "request_id" not in span.annotations:
-            inherited = parent.annotations.get("request_id")
-            if inherited is not None:
-                span.annotations["request_id"] = inherited
-        with self._lock:
-            if parent is not None:
-                span.parent_id = parent.span_id
-                parent.children.append(span)
-            else:
-                self._roots.append(span)
-        return span
 
     def annotate(self, **annotations: object) -> None:
         """Annotate the innermost open span (no-op without one)."""

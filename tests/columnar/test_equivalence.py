@@ -1,4 +1,4 @@
-"""Columnar/scalar equivalence: serial, sharded, fallback, and wiring.
+"""Columnar/scalar equivalence: kernel path, fallback, and wiring.
 
 The oracle is the scalar row loop,
 :func:`~repro.matching.attribute_matching.compare_pairs` over the scalar
@@ -12,13 +12,8 @@ import pytest
 
 from repro.columnar import PairBatch
 from repro.core.records import Dataset, Record
-from repro.engine.executors import ProcessExecutor, SerialExecutor
 from repro.matching.attribute_matching import AttributeComparator, compare_pairs
-from repro.matching.parallel import (
-    ParallelConfig,
-    compare_pairs_sharded,
-    resolve_candidates,
-)
+from repro.matching.comparison import resolve_candidates, score_candidates
 from repro.matching.blocking import first_token_key, standard_blocking
 from repro.matching.pipeline import MatchingPipeline
 from repro.matching.similarity import jaro_winkler
@@ -89,7 +84,7 @@ def candidates(dataset):
 class TestSerialEquivalence:
     def test_columnar_serial_matches_scalar_serial(self, dataset, candidates):
         scalar = compare_pairs(dataset, candidates, comparator())
-        fast, missing = compare_pairs_sharded(dataset, candidates, comparator())
+        fast, missing = score_candidates(dataset, candidates, comparator())
         assert missing == []
         assert isinstance(fast, PairBatch)
         assert_identical(scalar, fast)
@@ -99,33 +94,9 @@ class TestSerialEquivalence:
         pairs = sorted(
             standard_blocking(dataset, first_token_key("last_name"))
         )[:size]
-        fast, _ = compare_pairs_sharded(dataset, pairs, comparator())
+        fast, _ = score_candidates(dataset, pairs, comparator())
         assert isinstance(fast, PairBatch) and len(fast) == size
         assert_identical(compare_pairs(dataset, pairs, comparator()), fast)
-
-
-class TestShardedEquivalence:
-    def test_columnar_shards_match_scalar_serial(self, dataset, candidates):
-        scalar = compare_pairs(dataset, candidates, comparator())
-        sharded, _ = compare_pairs_sharded(
-            dataset,
-            candidates,
-            comparator(),
-            config=ParallelConfig(workers=4, shards=7, min_pairs=0),
-            executor=SerialExecutor(),
-        )
-        assert_identical(scalar, sharded)
-
-    def test_two_worker_shards_match_scalar_serial(self, dataset, candidates):
-        scalar = compare_pairs(dataset, candidates, comparator())
-        sharded, _ = compare_pairs_sharded(
-            dataset,
-            candidates,
-            comparator(),
-            config=ParallelConfig(workers=2, shards=5, min_pairs=0),
-            executor=SerialExecutor(),
-        )
-        assert_identical(scalar, sharded)
 
 
 class TestFallback:
@@ -138,7 +109,7 @@ class TestFallback:
         )
         kernel_pairs = get_metrics().counter("frost_kernel_pairs_total")
         before = kernel_pairs.value
-        vectors, _ = compare_pairs_sharded(dataset, candidates, mixed)
+        vectors, _ = score_candidates(dataset, candidates, mixed)
         assert kernel_pairs.value == before + len(vectors)
         assert_identical(compare_pairs(dataset, candidates, mixed), vectors)
 
@@ -149,7 +120,7 @@ class TestFallback:
 
         fallback = get_metrics().counter("frost_kernel_fallback_pairs_total")
         before = fallback.value
-        vectors, _ = compare_pairs_sharded(dataset, candidates, Duck())
+        vectors, _ = score_candidates(dataset, candidates, Duck())
         assert fallback.value == before + len(candidates)
         assert isinstance(vectors, list)
         assert_identical(compare_pairs(dataset, candidates, comparator()), vectors)
@@ -161,7 +132,7 @@ class TestFallback:
         pairs.append(("p0000", "zz-gone"))
         ordered, resolved, missing_a = resolve_candidates(dataset, pairs)
         scalar = compare_pairs(resolved, ordered, comparator())
-        fast, missing_b = compare_pairs_sharded(dataset, pairs, comparator())
+        fast, missing_b = score_candidates(dataset, pairs, comparator())
         assert missing_a == missing_b == ["zz-gone"]
         assert_identical(scalar, fast)
 
@@ -200,33 +171,7 @@ class TestTelemetry:
             distinct_counter.value,
             builds_counter.value,
         )
-        compare_pairs_sharded(dataset, candidates, comparator())
+        score_candidates(dataset, candidates, comparator())
         assert pairs_counter.value > before[0]
         assert distinct_counter.value > before[1]
         assert builds_counter.value > before[2]
-
-    def test_pool_workers_count_like_serial_shards(self, dataset, candidates):
-        """Kernel work done in pool workers is counted in the parent,
-        exactly as when the same shards run inline."""
-        metrics = get_metrics()
-        counters = [
-            metrics.counter("frost_kernel_pairs_total"),
-            metrics.counter("frost_kernel_distinct_pairs_total"),
-        ]
-        pool_fallbacks = metrics.counter("frost_executor_fallback_total")
-        config = ParallelConfig(workers=2, shards=5, min_pairs=0)
-
-        def advance(executor):
-            before = [counter.value for counter in counters]
-            compare_pairs_sharded(
-                dataset, candidates, comparator(), config, executor=executor
-            )
-            return [counter.value - b for counter, b in zip(counters, before)]
-
-        fallbacks_before = pool_fallbacks.value
-        pooled = advance(ProcessExecutor(2))
-        assert pool_fallbacks.value == fallbacks_before  # really pooled
-        inline = advance(SerialExecutor())
-        assert pooled == inline
-        assert pooled[0] == len(candidates)
-        assert pooled[1] > 0

@@ -160,24 +160,11 @@ class TestDerived:
         assert codes[column[2]] == 0  # sentinel
 
 
-class TestSliceAndWire:
-    def test_slice_keeps_requested_rows_in_order(self, store):
-        sliced = store.slice(["r3", "r1"])
-        assert sliced.row_ids == ("r3", "r1")
-        assert sliced.record("r1").value("name") == "alice smith"
-        assert sliced.record("r3").value("zip") is None
-
-    def test_slice_reinterns_compactly(self, store):
-        sliced = store.slice(["r3"])
-        # only "bob" remains in the pool
-        assert sliced.distinct_values == 1
-        assert sliced.value_of(int(sliced.column("name")[0])) == "bob"
-
-    def test_pickle_round_trip_drops_derived_state(self, store):
+class TestPickle:
+    def test_pickle_round_trip(self, store):
         store.token_csr()  # populate a derived cache
         clone = pickle.loads(pickle.dumps(store))
         assert clone.row_ids == store.row_ids
-        assert clone._token_csr is None  # rebuilt lazily
         for attribute in store.attributes:
             np.testing.assert_array_equal(
                 clone.column(attribute), store.column(attribute)

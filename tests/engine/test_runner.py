@@ -475,39 +475,44 @@ class TestPipelineJobs:
         assert result.state is JobState.SUCCEEDED, result.error
         assert "comparator" in duck.config_fingerprint()
 
-    def test_workers_override_hits_serial_cache(self, engine, pipeline):
-        """Parallelism cannot change the output, so it must not change
-        the cache key: a serial run's cached result serves a
-        4-worker re-submission of the same pipeline."""
-        serial = engine.run(
+    def test_retired_workers_params_share_the_cache_entry(
+        self, engine, pipeline
+    ):
+        """A client still sending the retired sharding params
+        (``workers``, ``shards``) gets the same job: they are ignored,
+        so a plain submission's cached result serves it."""
+        plain = engine.run(
             [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
-                     job_id="serial")]
-        )["serial"]
-        assert serial.state is JobState.SUCCEEDED and not serial.cached
-        parallel = engine.run(
+                     job_id="plain")]
+        )["plain"]
+        assert plain.state is JobState.SUCCEEDED and not plain.cached
+        stale = engine.run(
             [JobSpec(
                 "pipeline",
                 {"pipeline": pipeline, "dataset": "people",
                  "workers": 4, "shards": 8},
-                job_id="parallel",
+                job_id="stale",
             )]
-        )["parallel"]
-        assert parallel.state is JobState.SUCCEEDED, parallel.error
-        assert parallel.cached is True
-        assert parallel.cache_key == serial.cache_key
-        assert parallel.value == serial.value
+        )["stale"]
+        assert stale.state is JobState.SUCCEEDED, stale.error
+        assert stale.cached is True
+        assert stale.cache_key == plain.cache_key
+        assert stale.value == plain.value
 
-    def test_stage_graph_with_workers_matches_serial(self, engine, pipeline):
-        graph = pipeline.as_job_graph("people", prefix="par", register=False)
-        for spec in graph:
-            if spec.job_id == "par:similarity":
-                spec.params.update(workers=2, shards=3)
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_stage_graph_matches_a_direct_run_at_any_pool_width(
+        self, platform, pipeline, width
+    ):
+        """The engine's thread pool width schedules stages; it never
+        changes what they compute."""
+        engine = ExperimentEngine(platform, max_workers=width)
+        graph = pipeline.as_job_graph("people", prefix="w", register=False)
         results = engine.run(graph)
         assert all(
             result.state is JobState.SUCCEEDED for result in results.values()
-        ), {k: r.error for k, r in results.items()}
-        direct = pipeline.run(engine.platform.dataset("people")).experiment
-        assert results["par:clustering"].value.pairs() == direct.pairs()
+        ), {job: result.error for job, result in results.items()}
+        direct = pipeline.run(platform.dataset("people")).experiment
+        assert results["w:clustering"].value.pairs() == direct.pairs()
 
     def test_job_graph_stage_order_is_dependency_driven(self, engine, pipeline):
         graph = pipeline.as_job_graph("people", prefix="g2", register=False)
@@ -535,8 +540,8 @@ class TestBlockerJobParam:
         )
 
     def test_blocker_override_changes_the_cache_key(self, engine, pipeline):
-        """Unlike workers/shards, a blocker override changes the output
-        — so it must split the cache, never share an entry."""
+        """Unlike blocking_storage, a blocker override changes the
+        output — so it must split the cache, never share an entry."""
         base = engine.run(
             [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
                      job_id="base")]

@@ -11,15 +11,9 @@ from __future__ import annotations
 
 import logging
 
-import pytest
-
 from repro.core.records import Record
 from repro.matching import AttributeComparator, MatchingPipeline
-from repro.matching.parallel import (
-    ParallelConfig,
-    compare_pairs_sharded,
-    resolve_candidates,
-)
+from repro.matching.comparison import resolve_candidates, score_candidates
 
 
 class _Registry:
@@ -44,12 +38,11 @@ RECORDS = [
 CANDIDATES = {("r1", "r2"), ("r1", "r3"), ("r2", "r4"), ("r3", "r4")}
 
 
-def _pipeline(parallelism=None) -> MatchingPipeline:
+def _pipeline() -> MatchingPipeline:
     return MatchingPipeline(
         candidate_generator=lambda dataset: set(CANDIDATES),
         comparator=AttributeComparator({"name": "jaro_winkler"}),
         decision_model=lambda vector: vector.mean(),
-        parallelism=parallelism,
     )
 
 
@@ -62,15 +55,10 @@ def test_resolve_candidates_reports_missing():
     assert set(resolved) == {"r1", "r3", "r4"}
 
 
-@pytest.mark.parametrize(
-    "parallelism",
-    [None, ParallelConfig(workers=2, shards=3, min_pairs=0)],
-    ids=["serial", "sharded"],
-)
-def test_compare_candidates_skips_deleted_records(parallelism, caplog):
+def test_compare_candidates_skips_deleted_records(caplog):
     registry = _Registry(RECORDS)
     registry.delete("r2")
-    pipeline = _pipeline(parallelism)
+    pipeline = _pipeline()
     with caplog.at_level(logging.WARNING, logger="repro.matching.pipeline"):
         vectors = pipeline.compare_candidates(registry, CANDIDATES)
     assert [vector.pair for vector in vectors] == [("r1", "r3"), ("r3", "r4")]
@@ -86,19 +74,13 @@ def test_compare_candidates_intact_registry_does_not_warn(caplog):
     assert not caplog.messages
 
 
-def test_sharded_and_serial_agree_after_deletion():
+def test_kernel_path_reports_deleted_records():
     registry = _Registry(RECORDS)
     registry.delete("r4")
-    serial, missing_serial = compare_pairs_sharded(
+    vectors, missing = score_candidates(
         registry,
         CANDIDATES,
         AttributeComparator({"name": "jaro_winkler"}),
     )
-    sharded, missing_sharded = compare_pairs_sharded(
-        registry,
-        CANDIDATES,
-        AttributeComparator({"name": "jaro_winkler"}),
-        config=ParallelConfig(workers=2, shards=2, min_pairs=0),
-    )
-    assert sharded == serial
-    assert missing_sharded == missing_serial == ["r4"]
+    assert [vector.pair for vector in vectors] == [("r1", "r2"), ("r1", "r3")]
+    assert missing == ["r4"]

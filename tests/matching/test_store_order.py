@@ -16,11 +16,10 @@ from repro.columnar import ColumnarStore
 from repro.columnar.batch import store_rows
 from repro.core.records import Record
 from repro.matching.attribute_matching import AttributeComparator
-from repro.matching.parallel import (
-    ParallelConfig,
+from repro.matching.comparison import (
     _store_order,
-    compare_pairs_sharded,
     resolve_candidates,
+    score_candidates,
 )
 
 ids = st.text(
@@ -78,30 +77,28 @@ def test_compared_pairs_come_back_in_sorted_order(scenario):
     comparator = AttributeComparator({"name": "jaro_winkler"})
     expected, _, expected_missing = resolve_candidates(records, candidates)
     for kwargs in ({"store": store}, {}):
-        vectors, missing = compare_pairs_sharded(
+        vectors, missing = score_candidates(
             records, candidates, comparator, **kwargs
         )
         assert [vector.pair for vector in vectors] == expected
         assert missing == expected_missing
 
 
-def test_sharded_batch_keeps_resolved_rows():
+def test_batch_keeps_resolved_rows():
     known = [f"r{index}" for index in range(9)]
     store = grown_store(known, [4])
     records = {rid: store.record(rid) for rid in known}
     candidates = [("r8", "r1"), ("r2", "r3"), ("r1", "r8"), ("r2", "r3"),
                   ("r0", "gone")]
     comparator = AttributeComparator({"name": "levenshtein"})
-    serial, _ = compare_pairs_sharded(records, candidates, comparator, store=store)
-    sharded, missing = compare_pairs_sharded(
-        records, candidates, comparator,
-        config=ParallelConfig(workers=2, shards=3, min_pairs=0), store=store,
+    batch, missing = score_candidates(
+        records, candidates, comparator, store=store
     )
     assert missing == ["gone"]
-    assert sharded == serial
-    assert sharded.pairs == sorted(candidates[:4])
-    assert np.array_equal(sharded.rows_a, serial.rows_a)
-    assert np.array_equal(sharded.rows_b, serial.rows_b)
-    assert [sharded.row_ids[row] for row in sharded.rows_a.tolist()] == [
-        pair[0] for pair in sharded.pairs
+    assert batch.pairs == sorted(candidates[:4])
+    assert [batch.row_ids[row] for row in batch.rows_a.tolist()] == [
+        pair[0] for pair in batch.pairs
+    ]
+    assert [batch.row_ids[row] for row in batch.rows_b.tolist()] == [
+        pair[1] for pair in batch.pairs
     ]

@@ -5,7 +5,7 @@ Covers the observability surface of the HTTP front-end: ``/healthz``
 gone), the structured DEBUG access log, per-endpoint-family metrics
 with latency-SLO burn counters, and one ``request_id`` observable
 end-to-end — response header, access log, span tree, and ``/stats`` —
-including across the process-pool shard boundary.
+down to the comparison stage's kernel span.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ class TestRequestIdCorrelation:
 
     def test_one_id_spans_log_trace_and_stats(self, api, caplog):
         """The acceptance-criteria walk: one request's id shows up in the
-        access log, on every span of its trace (including the folded
-        process-pool shard spans), and in the /stats payload."""
+        access log, on every span of its trace, and in the /stats
+        payload."""
         tracer = get_tracer()
         tracer.reset()
         tracer.enable()
@@ -238,14 +238,10 @@ class TestRequestIdCorrelation:
             assert span.annotations.get("request_id") == "req-e2e", span.name
         tracer.reset()
 
-    def test_id_crosses_the_process_pool_boundary(self, people_dataset):
-        """Shard spans folded back from pool workers inherit the id."""
-        from repro.engine.executors import SerialExecutor
+    def test_comparison_span_carries_the_request_id(self, people_dataset):
+        """The comparison stage's kernel span inherits the bound id."""
         from repro.matching.attribute_matching import AttributeComparator
-        from repro.matching.parallel import (
-            ParallelConfig,
-            compare_pairs_sharded,
-        )
+        from repro.matching.comparison import score_candidates
         from repro.core.pairs import make_pair
         from repro.telemetry import bind_request_id
 
@@ -259,16 +255,10 @@ class TestRequestIdCorrelation:
                 make_pair(records[0].record_id, records[1].record_id),
                 make_pair(records[1].record_id, records[2].record_id),
             ]
-            with bind_request_id("req-shard"), tracer.span(
-                "http.request", request_id="req-shard"
+            with bind_request_id("req-compare"), tracer.span(
+                "http.request", request_id="req-compare"
             ):
-                compare_pairs_sharded(
-                    people_dataset,
-                    pairs,
-                    comparator,
-                    ParallelConfig(workers=2, shards=2, min_pairs=0),
-                    executor=SerialExecutor(),
-                )
+                score_candidates(people_dataset, pairs, comparator)
         finally:
             tracer.disable()
         (root,) = [
@@ -276,10 +266,8 @@ class TestRequestIdCorrelation:
             for span in tracer.roots()
             if span.name == "http.request"
         ]
-        shards = [
-            span for span in root.walk() if span.name == "comparison.shard"
+        (kernels,) = [
+            span for span in root.walk() if span.name == "comparison.columnar"
         ]
-        assert shards, "no shard spans were folded into the trace"
-        for shard in shards:
-            assert shard.annotations["request_id"] == "req-shard"
+        assert kernels.annotations["request_id"] == "req-compare"
         tracer.reset()

@@ -1,12 +1,14 @@
 """Crash-consistent durable ingest: a failed or killed batch leaves no trace.
 
 A durable ingest writes records, block memberships, merges and the
-snapshot in one transaction.  Two faults interrupt batch ``K`` of a
+snapshot in one transaction.  Three faults interrupt batch ``K`` of a
 file-backed stream:
 
-* the database fills up (``PRAGMA max_page_count``), so the append
-  raises; the live session must roll back to exactly its state before
-  the batch, drop its layout, and ingest the same batch again later;
+* the database fills up (``PRAGMA max_page_count``), or another
+  connection holds the write lock (``BEGIN IMMEDIATE``) past the
+  ingesting connection's busy timeout, so the append raises; the live
+  session must roll back to exactly its state before the batch, drop
+  its layout, and ingest the same batch again once the fault clears;
 * the process is killed (SIGKILL) as the batch's snapshot INSERT starts,
   inside the open write transaction; resuming the stream must find the
   previous batch's state.
@@ -79,24 +81,54 @@ def session_state(session):
     )
 
 
-def test_full_database_rolls_back_and_the_same_session_reingests(tmp_path):
+def fill_the_database(path, connection):
+    """Cap the file at one more page; returns the fault's release."""
+    pages = connection.execute("PRAGMA page_count").fetchone()[0]
+    connection.execute(f"PRAGMA max_page_count = {pages + 1}")
+    return lambda: connection.execute("PRAGMA max_page_count = 1073741823")
+
+
+def hold_the_write_lock(path, connection):
+    """Hold ``BEGIN IMMEDIATE`` on a second connection; returns the release."""
+    connection.execute("PRAGMA busy_timeout = 50")
+    holder = sqlite3.connect(path)
+    holder.execute("BEGIN IMMEDIATE")
+
+    def release():
+        holder.rollback()
+        holder.close()
+        connection.execute(
+            f"PRAGMA busy_timeout = {FrostStore._BUSY_TIMEOUT_MS}"
+        )
+
+    return release
+
+
+@pytest.mark.parametrize(
+    ("fault", "error"),
+    [(fill_the_database, "full"), (hold_the_write_lock, "locked")],
+    ids=["full", "locked"],
+)
+def test_full_database_rolls_back_and_the_same_session_reingests(
+    tmp_path, fault, error
+):
     everything = batches()
-    with FrostStore(tmp_path / "stream.db") as store:
+    path = tmp_path / "stream.db"
+    with FrostStore(path) as store:
         session = build_session(CONFIG, store=store, name="s")
         for batch in everything[:K - 1]:
             session.ingest(batch)
         before = session_state(session)
 
         connection = store._connection  # this thread's: the ingesting one
-        pages = connection.execute("PRAGMA page_count").fetchone()[0]
-        connection.execute(f"PRAGMA max_page_count = {pages + 1}")
-        with pytest.raises(sqlite3.OperationalError, match="full"):
+        release = fault(path, connection)
+        with pytest.raises(sqlite3.OperationalError, match=error):
             session.ingest(everything[K - 1])
         assert session_state(session) == before
         assert session._layout is None
         assert open_session(store, "s").version == K - 1
 
-        connection.execute("PRAGMA max_page_count = 1073741823")
+        release()
         for batch in everything[K - 1:]:
             session.ingest(batch)
         assert session._layout.row_ids == tuple(session._native)

@@ -1,10 +1,21 @@
 """Cross-layer integration: engine jobs, API routes, CLI commands."""
 
+import contextlib
+import http.client
+import json
+import sqlite3
+
 import pytest
 
 from repro.core.platform import FrostPlatform
 from repro.engine import ExperimentEngine, JobSpec
-from repro.server.api import ApiError, FrostApi
+from repro.server.api import (
+    RETRY_AFTER_SECONDS,
+    ApiError,
+    FrostApi,
+    _store_unavailable,
+)
+from repro.server.http import FrostHttpServer
 from repro.storage.database import FrostStore
 from repro.streaming import build_session
 
@@ -144,21 +155,6 @@ class TestStreamApiRoutes:
             )
         assert bad.value.status == 400
 
-    @pytest.mark.parametrize(
-        "parallelism",
-        [{"workers": "4"}, {"workers": 2.5}, {"shards": 0}, {"typo": 1}],
-    )
-    def test_bad_parallelism_config_is_400(self, api, parallelism):
-        with pytest.raises(ApiError) as bad:
-            api.handle(
-                "/streams", method="POST",
-                body={
-                    "name": "x",
-                    "config": {**CONFIG, "parallelism": parallelism},
-                },
-            )
-        assert bad.value.status == 400
-
     def test_duplicate_name_is_400(self, api):
         api.handle(
             "/streams", method="POST", body={"name": "crm", "config": CONFIG}
@@ -226,6 +222,216 @@ class TestStreamApiRoutes:
             assert second_api.handle("/streams/crm")["records"] == 5
 
 
+class TestStoreUnavailable:
+    """Closed and write-locked stores answer 503 with ``Retry-After``.
+
+    The request was well-formed, so neither a 400 (client error) nor a
+    404 (no such stream) fits, and a 500 would hide that a retry may
+    succeed.  An exclusive lock is held for the resume ``GET`` because
+    a mere ``BEGIN IMMEDIATE`` still lets readers through.
+    """
+
+    @pytest.fixture
+    def path(self, tmp_path, monkeypatch):
+        # every connection the store opens (the engine worker's too)
+        # gives up on a held lock after 50 ms instead of 10 s
+        monkeypatch.setattr(FrostStore, "_BUSY_TIMEOUT_MS", 50)
+        path = tmp_path / "streams.db"
+        with FrostStore(path) as store:
+            FrostApi(FrostPlatform(), store=store).handle(
+                "/streams", method="POST",
+                body={"name": "crm", "config": CONFIG},
+            )
+        return path
+
+    @staticmethod
+    def assert_unavailable(error):
+        assert error.status == 503
+        assert error.retry_after == RETRY_AFTER_SECONDS
+
+    @staticmethod
+    def ingest(api, rows):
+        return api.handle(
+            "/streams/crm/batches", method="POST", body={"records": rows}
+        )
+
+    @staticmethod
+    @contextlib.contextmanager
+    def held_lock(path, mode):
+        holder = sqlite3.connect(path)
+        holder.execute(f"BEGIN {mode}")
+        try:
+            yield
+        finally:
+            holder.rollback()
+            holder.close()
+
+    def test_ingest_into_a_closed_store(self, path):
+        store = FrostStore(path)
+        api = FrostApi(FrostPlatform(), store=store)
+        self.ingest(api, ROWS_ONE)
+        store.close()
+        with pytest.raises(ApiError) as closed:
+            self.ingest(api, ROWS_TWO)
+        self.assert_unavailable(closed.value)
+        assert "is closed" in closed.value.message
+
+    def test_resume_from_a_closed_store(self, path):
+        store = FrostStore(path)
+        api = FrostApi(FrostPlatform(), store=store)
+        store.close()
+        with pytest.raises(ApiError) as closed:
+            api.handle("/streams/crm")
+        self.assert_unavailable(closed.value)
+
+    def test_ingest_while_another_connection_holds_the_write_lock(self, path):
+        with FrostStore(path) as store:
+            api = FrostApi(FrostPlatform(), store=store)
+            self.ingest(api, ROWS_ONE)
+            with self.held_lock(path, "IMMEDIATE"):
+                with pytest.raises(ApiError) as locked:
+                    self.ingest(api, ROWS_TWO)
+            self.assert_unavailable(locked.value)
+            assert "locked" in locked.value.message
+            # the rolled-back batch goes in once the lock is released
+            assert self.ingest(api, ROWS_TWO)["snapshot"]["version"] == 2
+
+    def test_resume_while_another_connection_holds_the_write_lock(self, path):
+        with FrostStore(path) as store:
+            api = FrostApi(FrostPlatform(), store=store)
+            with self.held_lock(path, "EXCLUSIVE"):
+                with pytest.raises(ApiError) as locked:
+                    api.handle("/streams/crm")
+            self.assert_unavailable(locked.value)
+            assert api.handle("/streams/crm")["version"] == 0
+
+    def test_duplicate_ids_and_unknown_names_keep_their_codes(self, path):
+        with FrostStore(path) as store:
+            api = FrostApi(FrostPlatform(), store=store)
+            self.ingest(api, ROWS_ONE)
+            with pytest.raises(ApiError) as duplicate:
+                self.ingest(api, ROWS_ONE)
+            assert duplicate.value.status == 400
+            assert duplicate.value.retry_after is None
+            with pytest.raises(ApiError) as unknown:
+                api.handle("/streams/ghost")
+            assert unknown.value.status == 404
+
+    @pytest.mark.parametrize(
+        ("error", "status"),
+        [
+            ("OperationalError: database or disk is full", 503),
+            ("OperationalError: database is locked", 503),
+            ("StorageError: store 'x.db' is closed", 503),
+            ("StorageError: stream 'crm': batch 3 collides", None),
+            ("OperationalError: no such table: stream_records", None),
+        ],
+        ids=["full", "locked", "closed", "collision", "schema"],
+    )
+    def test_which_errors_mean_unavailable(self, error, status):
+        unavailable = _store_unavailable(error)
+        assert (unavailable and unavailable.status) == status
+
+    def test_http_sends_retry_after(self, path):
+        store = FrostStore(path)
+        api = FrostApi(FrostPlatform(), store=store)
+        store.close()
+        with FrostHttpServer(api, port=0) as server:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+            try:
+                connection.request("GET", "/streams/crm")
+                response = connection.getresponse()
+                body = json.loads(response.read())
+            finally:
+                connection.close()
+        assert response.status == 503
+        assert response.getheader("Retry-After") == str(RETRY_AFTER_SECONDS)
+        assert body["status"] == 503
+
+    def test_ingest_into_a_full_store(self, path, monkeypatch):
+        """Every connection of the store, the engine worker's included,
+        is capped at the file's current size, so the batch cannot grow
+        it; once the cap goes, the same batch goes in."""
+        batch = [
+            {"id": f"q{index:03d}", "first": f"first {index}",
+             "last": ["smith", "jones", "miller"][index % 3]}
+            for index in range(300)
+        ]
+        connect = FrostStore._connect
+
+        def cap_every_connection(store, pages):
+            pragma = f"PRAGMA max_page_count = {pages}"
+
+            def capped(self):
+                connection = connect(self)
+                connection.execute(pragma)
+                return connection
+
+            monkeypatch.setattr(FrostStore, "_connect", capped)
+            with store._pool_lock:
+                for _, connection in store._pool:
+                    connection.execute(pragma)
+
+        with FrostStore(path) as store:
+            api = FrostApi(FrostPlatform(), store=store)
+            self.ingest(api, ROWS_ONE)
+            pages = store._connection.execute(
+                "PRAGMA page_count"
+            ).fetchone()[0]
+            cap_every_connection(store, pages)
+            with pytest.raises(ApiError) as full:
+                self.ingest(api, batch)
+            self.assert_unavailable(full.value)
+            assert "full" in full.value.message
+            cap_every_connection(store, 1073741823)
+            assert self.ingest(api, batch)["snapshot"]["version"] == 2
+
+    def test_listing_streams_of_a_closed_store(self, path):
+        store = FrostStore(path)
+        api = FrostApi(FrostPlatform(), store=store)
+        assert api.handle("/streams") == {"streams": ["crm"]}
+        store.close()
+        with pytest.raises(ApiError) as closed:
+            api.handle("/streams")
+        self.assert_unavailable(closed.value)
+
+    def test_creating_a_stream_in_a_closed_store(self, path):
+        store = FrostStore(path)
+        api = FrostApi(FrostPlatform(), store=store)
+        store.close()
+        with pytest.raises(ApiError) as closed:
+            api.handle(
+                "/streams", method="POST",
+                body={"name": "billing", "config": CONFIG},
+            )
+        self.assert_unavailable(closed.value)
+
+    def test_http_ingest_under_a_held_lock_sends_retry_after(self, path):
+        with FrostStore(path) as store:
+            api = FrostApi(FrostPlatform(), store=store)
+            self.ingest(api, ROWS_ONE)
+            with FrostHttpServer(api, port=0) as server:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=30
+                )
+                try:
+                    with self.held_lock(path, "IMMEDIATE"):
+                        connection.request(
+                            "POST", "/streams/crm/batches",
+                            body=json.dumps({"records": ROWS_TWO}),
+                            headers={"Content-Type": "application/json"},
+                        )
+                        response = connection.getresponse()
+                        body = json.loads(response.read())
+                finally:
+                    connection.close()
+        assert response.status == 503
+        assert response.getheader("Retry-After") == str(RETRY_AFTER_SECONDS)
+        assert "locked" in body["error"]
+
+
 class TestStreamCli:
     def _write_csv(self, path, rows):
         lines = ["id,first,last"]
@@ -264,79 +470,6 @@ class TestStreamCli:
         assert "v1" in output and "v2" in output
         assert "p1 p2 p5" in output
         assert "p3 p4" in output
-
-    def test_parallel_flags_persist_and_override(self, tmp_path, capsys):
-        """``stream init --workers/--shards`` lands in the stored config
-        and ``stream ingest --workers`` overrides it per invocation —
-        with clusters identical to a serial stream's."""
-        from repro.cli import main
-        from repro.storage.database import FrostStore
-        from repro.streaming import open_session
-
-        store = str(tmp_path / "s.db")
-        day1 = tmp_path / "day1.csv"
-        day2 = tmp_path / "day2.csv"
-        self._write_csv(day1, ROWS_ONE)
-        self._write_csv(day2, ROWS_TWO)
-
-        assert main([
-            "stream", "init", "--store", store, "--name", "crm",
-            "--key-attribute", "last",
-            "--similarity", "first=jaro_winkler",
-            "--similarity", "last=jaro_winkler",
-            "--threshold", "0.8",
-            "--workers", "2", "--shards", "4",
-        ]) == 0
-        assert main([
-            "stream", "ingest", "--store", store, "--name", "crm",
-            "--dataset", str(day1),
-        ]) == 0
-        # per-ingest override (also exercises with_parallelism on resume)
-        assert main([
-            "stream", "ingest", "--store", store, "--name", "crm",
-            "--dataset", str(day2), "--workers", "1",
-        ]) == 0
-
-        with FrostStore(store) as opened:
-            config = opened.load_stream("crm")["config"]
-            assert config["parallelism"]["workers"] == 2
-            assert config["parallelism"]["shards"] == 4
-            session = open_session(opened, "crm")
-            assert session.status()["parallelism"]["workers"] == 2
-            parallel_clusters = set(session.clusters().clusters)
-
-        serial_store = str(tmp_path / "serial.db")
-        assert main([
-            "stream", "init", "--store", serial_store, "--name", "crm",
-            "--key-attribute", "last",
-            "--similarity", "first=jaro_winkler",
-            "--similarity", "last=jaro_winkler",
-            "--threshold", "0.8",
-        ]) == 0
-        for day in (day1, day2):
-            assert main([
-                "stream", "ingest", "--store", serial_store, "--name", "crm",
-                "--dataset", str(day),
-            ]) == 0
-        with FrostStore(serial_store) as opened:
-            serial_clusters = set(open_session(opened, "crm").clusters().clusters)
-        assert parallel_clusters == serial_clusters
-
-    def test_shards_alone_engages_all_cores(self, tmp_path):
-        """--shards without --workers must not silently stay serial."""
-        from repro.cli import main
-        from repro.storage.database import FrostStore
-
-        store = str(tmp_path / "s.db")
-        assert main([
-            "stream", "init", "--store", store, "--name", "crm",
-            "--key-attribute", "last", "--similarity", "last=jaro_winkler",
-            "--shards", "16",
-        ]) == 0
-        with FrostStore(store) as opened:
-            parallelism = opened.load_stream("crm")["config"]["parallelism"]
-        assert parallelism["shards"] == 16
-        assert parallelism["workers"] == 0  # 0 = all cores
 
     def test_init_requires_key_attribute(self, tmp_path, capsys):
         from repro.cli import main

@@ -2,19 +2,17 @@
 
 Every ingest extends the layout with its prepared batch and scores the
 delta against it.  Each batch's lanes must be bit-identical to scoring
-on a store built from just the records that batch's pairs touch, serial
-and sharded; a resumed session adopts the layout ``prepare()`` built,
-whose rows are the session's numeric ids; and a session builds one
-store per ingested batch (the batch's own, in ``prepare()``), plus the
-layout once.
+on a store built from just the records that batch's pairs touch; a
+resumed session adopts the layout ``prepare()`` built, whose rows are
+the session's numeric ids; and a session builds one store per ingested
+batch (the batch's own, in ``prepare()``), plus the layout once.
 """
 
 import random
 
 import numpy as np
-import pytest
 
-from repro.matching.parallel import compare_pairs_sharded
+from repro.matching.comparison import score_candidates
 from repro.storage.database import FrostStore
 from repro.streaming import build_session, open_session
 from repro.telemetry.metrics import get_metrics
@@ -29,10 +27,6 @@ CONFIG = {
     "key": {"kind": "first_token", "attribute": "last"},
     "similarities": SIMILARITIES,
     "threshold": 0.8,
-}
-SHARDED = {
-    **CONFIG,
-    "parallelism": {"workers": 2, "shards": 3, "min_pairs": 0},
 }
 
 FIRST = ["alice", "alicia", "bob", "robert", "carol", "karol"]
@@ -64,7 +58,7 @@ def record_comparisons(session, monkeypatch):
     def recording(prepared, candidates):
         vectors = compare(prepared, candidates)
         touched = {rid: prepared[rid] for pair in candidates for rid in pair}
-        reference, _ = compare_pairs_sharded(
+        reference, _ = score_candidates(
             touched, candidates, session.pipeline.comparator
         )
         comparisons.append((vectors, reference))
@@ -74,9 +68,8 @@ def record_comparisons(session, monkeypatch):
     return comparisons
 
 
-@pytest.mark.parametrize("config", [CONFIG, SHARDED], ids=["serial", "sharded"])
-def test_batches_score_like_a_store_of_their_touched_records(config, monkeypatch):
-    session = build_session(config)
+def test_batches_score_like_a_store_of_their_touched_records(monkeypatch):
+    session = build_session(CONFIG)
     comparisons = record_comparisons(session, monkeypatch)
     for batch in batches():
         session.ingest(batch)

@@ -158,6 +158,14 @@ class TestDurability:
         with pytest.raises(StreamError, match="already exists"):
             build_session(CONFIG, store=store, name="crm")
 
+    def test_closed_store_is_not_a_name_clash(self, tmp_path):
+        from repro.storage.database import StorageError
+
+        store = FrostStore(tmp_path / "streams.db")
+        store.close()
+        with pytest.raises(StorageError, match="is closed"):
+            build_session(CONFIG, store=store, name="crm")
+
     def test_failed_persist_rolls_the_session_back(self):
         """A store rejection (e.g. a concurrent writer took the version)
         must leave the live session exactly as before the batch."""
@@ -222,15 +230,20 @@ class TestConfigValidation:
         snapshot = session.ingest(BATCH_ONE)
         assert snapshot.record_count == 3
 
-    def test_legacy_columnar_key_is_ignored(self):
-        """A config or a stored stream carrying the retired ``columnar``
-        key still validates, builds, and resumes to the same clusters."""
-        legacy = {**CONFIG, "columnar": False}
+    @pytest.mark.parametrize(
+        "retired",
+        [{"columnar": False}, {"parallelism": {"workers": 2, "shards": 4}}],
+        ids=["columnar", "parallelism"],
+    )
+    def test_legacy_columnar_key_is_ignored(self, retired):
+        """A config or a stored stream carrying a retired key
+        (``columnar``, ``parallelism``) still validates, builds, and
+        resumes to the same clusters."""
+        legacy = {**CONFIG, **retired}
         assert validate_config(legacy) == validate_config(CONFIG)
         build_pipeline_and_index(legacy)
         store = FrostStore(":memory:")
-        store.create_stream("legacy", {**validate_config(CONFIG),
-                                       "columnar": False})
+        store.create_stream("legacy", {**validate_config(CONFIG), **retired})
         open_session(store, "legacy").ingest(BATCH_ONE)
         resumed = open_session(store, "legacy")
         resumed.ingest(BATCH_TWO)

@@ -2,7 +2,7 @@
 
 The tentpole guarantee: enabling the default tracer and running a
 pipeline through the engine produces a single span tree covering
-blocking, comparison (including process-pool shards), clustering, and
+blocking, comparison (including the columnar kernels), clustering, and
 the engine job wrapper — with cache hits visible both as span
 annotations and as registry counters.
 """
@@ -52,7 +52,6 @@ def test_traced_engine_run_builds_one_coherent_tree(telemetry):
     platform.add_dataset(benchmark.dataset)
     platform.add_gold(benchmark.dataset.name, benchmark.gold)
     pipeline, _ = build_pipeline_and_index(CONFIG)
-    pipeline = pipeline.with_parallelism(workers=2, shards=4, min_pairs=0)
     engine = ExperimentEngine(platform, max_workers=2)
 
     with tracer.span("test.run"):
@@ -80,7 +79,7 @@ def test_traced_engine_run_builds_one_coherent_tree(telemetry):
     (root,) = tracer.roots()
     names = _span_names(root)
     # one tree spans submission, the engine's worker thread, every
-    # pipeline stage, and the process-pool comparison shards
+    # pipeline stage, and the comparison kernels
     assert root.name == "test.run"
     for stage in (
         "engine.job",
@@ -88,13 +87,12 @@ def test_traced_engine_run_builds_one_coherent_tree(telemetry):
         "pipeline.prepare",
         "pipeline.candidates",
         "pipeline.similarity",
-        "comparison.sharded",
-        "comparison.shard",
+        "comparison.columnar",
         "pipeline.decision",
         "pipeline.clustering",
     ):
         assert stage in names, f"missing span {stage!r} in {sorted(set(names))}"
-    assert names.count("comparison.shard") == 4  # one per shard
+    assert names.count("comparison.columnar") == 1  # the uncached run
     assert names.count("engine.job") == 2
 
     jobs = [span for span in root.walk() if span.name == "engine.job"]
@@ -104,14 +102,14 @@ def test_traced_engine_run_builds_one_coherent_tree(telemetry):
     cached_job = next(s for s in jobs if s.annotations.get("cached"))
     assert _span_names(cached_job) == ["engine.job", "engine.cache_key"]
 
-    # shard spans carry the pair counts the workers measured
-    shards = [span for span in root.walk() if span.name == "comparison.shard"]
+    # the kernel span carries the pair count it scored
+    (kernels,) = [
+        span for span in root.walk() if span.name == "comparison.columnar"
+    ]
     candidates = next(
         span for span in root.walk() if span.name == "pipeline.candidates"
     )
-    assert sum(span.annotations["pairs"] for span in shards) == (
-        candidates.annotations["pairs"]
-    )
+    assert kernels.annotations["pairs"] == candidates.annotations["pairs"]
 
     values = registry.values()
     assert values["frost_engine_cache_hits_total"] == 1

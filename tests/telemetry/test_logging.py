@@ -60,21 +60,6 @@ class TestRequestIds:
             tracer.disable()
             tracer.reset()
 
-    def test_record_inherits_request_id_across_process_boundary(self):
-        """Folded shard spans carry the id of the request that ran them."""
-        tracer = get_tracer()
-        tracer.reset()
-        tracer.enable()
-        try:
-            with tracer.span("http.request", request_id="req-pool"):
-                shard = tracer.record("comparison.shard", 0.01, pairs=3)
-            assert shard.annotations["request_id"] == "req-pool"
-            assert shard.annotations["pairs"] == 3
-        finally:
-            tracer.disable()
-            tracer.reset()
-
-
 class TestJsonLogging:
     def test_formatter_emits_one_json_object(self):
         record = logging.LogRecord(

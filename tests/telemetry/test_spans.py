@@ -14,7 +14,7 @@ from repro.telemetry import (
     spans_to_rows,
     write_spans_jsonl,
 )
-from repro.telemetry.spans import _NULL_SPAN
+from repro.telemetry.spans import _NULL_SPAN, Span
 
 
 @pytest.fixture
@@ -42,7 +42,6 @@ def test_disabled_tracer_hands_out_the_shared_null_span():
         span.annotate(ignored=True)  # must not raise
     assert tracer.roots() == []
     assert tracer.activate(tracer.context()) is _NULL_SPAN
-    assert tracer.record("shard", 0.5) is None
     tracer.annotate(ignored=True)  # no open span, disabled: no-op
 
 
@@ -80,15 +79,6 @@ def test_context_propagates_across_threads(tracer):
     assert [child.name for child in root.children] == ["worker.job"]
 
 
-def test_record_folds_external_timing_into_the_tree(tracer):
-    with tracer.span("comparison.sharded"):
-        tracer.record("comparison.shard", 0.25, pairs=100)
-    (root,) = tracer.roots()
-    (shard,) = root.children
-    assert shard.seconds == 0.25
-    assert shard.annotations == {"pairs": 100}
-
-
 def test_reset_drops_completed_roots(tracer):
     with tracer.span("one"):
         pass
@@ -115,3 +105,84 @@ def test_spans_export_jsonl_and_tree(tracer, tmp_path):
     assert child["parent_id"] == root["span_id"]
     tree = render_span_tree(roots[0])
     assert "root" in tree and "└─ child" in tree and "[records=5]" in tree
+
+
+def hand_built(seconds, *children, started_at=100.0):
+    """A finished span over ``[started_at, started_at + seconds]``."""
+    span = Span("span", None, {})
+    span.started_at = started_at
+    span.seconds = seconds
+    span.children.extend(children)
+    return span
+
+
+class TestSelfTime:
+    def test_leaf_self_time_is_its_duration(self):
+        assert hand_built(0.5).self_seconds() == pytest.approx(0.5)
+
+    def test_disjoint_children_are_subtracted(self):
+        root = hand_built(
+            1.0,
+            hand_built(0.2, started_at=100.1),
+            hand_built(0.3, started_at=100.5),
+        )
+        assert root.self_seconds() == pytest.approx(0.5)
+
+    def test_overlapping_children_count_once(self):
+        """Concurrent engine jobs overlap: subtract their union."""
+        root = hand_built(
+            1.0,
+            hand_built(0.4, started_at=100.1),  # 100.1 - 100.5
+            hand_built(0.4, started_at=100.3),  # 100.3 - 100.7
+            hand_built(0.1, started_at=100.35),  # inside both
+        )
+        assert root.self_seconds() == pytest.approx(0.4)
+
+    def test_grandchildren_do_not_count_against_the_root(self):
+        child = hand_built(0.6, hand_built(0.5, started_at=100.05))
+        root = hand_built(1.0, child)
+        assert root.self_seconds() == pytest.approx(0.4)
+        assert child.self_seconds() == pytest.approx(0.1)
+
+    def test_self_time_is_never_negative(self):
+        """Children reaching past the parent are clipped to it."""
+        root = hand_built(
+            0.5,
+            hand_built(2.0, started_at=99.0),
+            hand_built(0.3, started_at=100.4),
+        )
+        assert root.self_seconds() == 0.0
+        assert hand_built(0.1, hand_built(0.1)).self_seconds() >= 0.0
+
+    def test_back_to_back_children_leave_no_self_time(self):
+        root = hand_built(
+            1.0,
+            hand_built(0.5, started_at=100.5),
+            hand_built(0.5, started_at=100.0),
+        )
+        assert root.self_seconds() == pytest.approx(0.0, abs=1e-9)
+
+    def test_open_spans_and_open_children(self):
+        open_child = Span("open", None, {})
+        assert open_child.self_seconds() is None
+        assert hand_built(1.0, open_child).self_seconds() == pytest.approx(1.0)
+
+    def test_tree_prints_self_time_next_to_duration(self):
+        root = hand_built(
+            1.0,
+            hand_built(0.25, started_at=100.0),
+            hand_built(0.25, started_at=100.5),
+        )
+        lines = render_span_tree(root).splitlines()
+        assert lines[0] == "span    1000.00 ms  self 500.00 ms"
+        assert lines[1].endswith("250.00 ms  self 250.00 ms")
+        assert "?" in render_span_tree(Span("open", None, {}))
+
+    def test_traced_spans_account_for_their_children(self, tracer):
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        (outer,) = tracer.roots()
+        (inner,) = outer.children
+        assert 0.0 <= outer.self_seconds() <= outer.seconds
+        assert inner.self_seconds() == inner.seconds

@@ -7,17 +7,22 @@ import sqlite3
 import pytest
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import Span
 from repro.telemetry.store import TelemetryError, TelemetryStore
 
 
 def traced_roots(stage_seconds: dict[str, float]):
-    """A one-root trace whose children carry fixed durations."""
-    tracer = Tracer(enabled=True)
-    with tracer.span("run.root"):
-        for name, seconds in stage_seconds.items():
-            tracer.record(name, seconds, fixture=True)
-    return tracer.roots()
+    """A one-root trace whose children carry fixed durations.
+
+    The root itself takes no time, so it never outranks a stage.
+    """
+    root = Span("run.root", None, {})
+    root.seconds = 0.0
+    for name, seconds in stage_seconds.items():
+        child = Span(name, root.span_id, {"fixture": True})
+        child.seconds = seconds
+        root.children.append(child)
+    return [root]
 
 
 @pytest.fixture
@@ -37,6 +42,21 @@ class TestRecordAndRoundTrip:
         assert [child.name for child in root.children] == ["stage.a", "stage.b"]
         assert root.children[0].annotations == {"fixture": True}
         assert root.children[0].seconds == pytest.approx(0.5)
+
+    def test_stored_spans_keep_their_self_time(self, warehouse):
+        """``telemetry show`` renders self time from the stored
+        intervals, so ``started_at`` must survive the round trip."""
+        (root,) = traced_roots({"stage.a": 0.4, "stage.b": 0.4})
+        root.started_at, root.seconds = 100.0, 1.0
+        root.children[0].started_at = 100.1  # 100.1 - 100.5
+        root.children[1].started_at = 100.3  # 100.3 - 100.7, overlapping
+        run_id = warehouse.record_run("smoke", [root])
+        (stored,) = warehouse.run_spans(run_id)
+        assert stored.self_seconds() == pytest.approx(root.self_seconds())
+        assert stored.self_seconds() == pytest.approx(0.4)
+        assert [child.self_seconds() for child in stored.children] == [
+            pytest.approx(0.4), pytest.approx(0.4)
+        ]
 
     def test_metrics_snapshot_round_trips(self, warehouse):
         registry = MetricsRegistry()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -76,6 +78,26 @@ class TestParser:
     def test_serve_requires_store(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "init", "--store", "s.db", "--name", "crm",
+             "--similarity", "last=jaro_winkler"],
+            ["stream", "ingest", "--store", "s.db", "--name", "crm",
+             "--dataset", "d.csv"],
+            ["trace", "--generate", "60"],
+        ],
+        ids=["stream-init", "stream-ingest", "trace"],
+    )
+    def test_scoring_commands_take_no_workers_flag(self, argv, capsys):
+        """Comparison scoring runs in one process: only the engine and
+        the server size a (thread) worker pool."""
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as rejected:
+            build_parser().parse_args([*argv, "--workers", "2"])
+        assert rejected.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestMetrics:
@@ -308,22 +330,26 @@ class TestTrace:
     def test_traced_run_prints_span_tree_and_metrics(self, capsys):
         code, out, _ = run(
             capsys,
-            "trace", "--generate", "150", "--workers", "2", "--repeat", "2",
+            "trace", "--generate", "150", "--repeat", "2",
         )
         assert code == 0
         # the span tree covers submission, engine jobs, every pipeline
-        # stage, and the process-pool comparison shards
+        # stage, and the comparison kernels
         for name in (
             "trace.run",
             "engine.job",
             "pipeline.run",
             "pipeline.candidates",
             "pipeline.similarity",
-            "comparison.sharded",
-            "comparison.shard",
+            "comparison.columnar",
             "pipeline.clustering",
         ):
             assert name in out, f"span {name!r} missing from trace output"
+        # every finished span shows its self time next to its duration
+        similarity = next(
+            line for line in out.splitlines() if "pipeline.similarity" in line
+        )
+        assert re.search(r" ms  self \d+\.\d\d ms", similarity)
         # the chained re-run is served from the engine cache, visible
         # both as a span annotation and as a registry counter
         assert "cached=True" in out
@@ -418,6 +444,18 @@ class TestTelemetryWarehouse:
         assert "trace.run" in out
         assert "pipeline.run" in out
         assert "frost_blocking_candidates_total" in out
+
+    def test_show_prints_self_time_of_every_span(self, warehouse_db, capsys):
+        code, out, _ = run(
+            capsys, "telemetry", "show", "--store", warehouse_db, "candidate"
+        )
+        assert code == 0
+        # "run N", the span tree, a blank line, the metrics
+        tree = out.split("\n\n")[0].splitlines()[1:]
+        assert tree[0].startswith("trace.run")
+        assert any("pipeline.similarity" in line for line in tree)
+        for line in tree:
+            assert re.search(r"\d ms  self \d+\.\d\d ms", line), line
 
     def test_slowest_spans_globally_and_scoped(self, warehouse_db, capsys):
         code, out, _ = run(
