@@ -5,11 +5,12 @@
 block membership lists live in the
 :class:`~repro.blocking_disk.store.DiskBlockingStore` tables instead of
 a Python ``dict[str, list[str]]``.  Ingest, retract, restore, and the
-emission-cap semantics are identical — pair emission consults the
-stored members of each touched block (in arrival order, via the rowid-
-aliased ``entry_id``), exactly like the in-memory list walk — so the
-union of deltas over any ingest split equals the batch candidate set,
-the property durable sessions and their resume path are built on.
+emission-cap semantics are identical — pair emission is the in-memory
+index's own loop, reading the stored members of each touched block (in
+arrival order, via the rowid-aliased ``entry_id``) through its member
+hooks — so the union of deltas over any ingest split equals the batch
+candidate set, the property durable sessions and their resume path are
+built on.
 
 Only the per-record id set stays in Python memory (O(records) strings,
 needed for the duplicate-ingest guard); the O(memberships) block state
@@ -21,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.blocking_disk.store import DiskBlockingStore
-from repro.core.pairs import make_pair
 from repro.core.records import Record
 from repro.streaming.delta_blocking import (
     DeltaIngest,
@@ -89,47 +89,25 @@ class DiskBlockingIndex(IncrementalBlockingIndex):
             )
         ]
 
+    def _add_member(self, key: str, record_id: str) -> None:
+        self._store.connection.execute(
+            "INSERT INTO blocking_keys "
+            "(run_id, block_key, record_id) VALUES (?, ?, ?)",
+            (self._run_id, key, record_id),
+        )
+
     # -- mutation ---------------------------------------------------------------
 
     def ingest_delta(self, records: Iterable[Record]) -> DeltaIngest:
-        emitted = set()
-        memberships: list[tuple[str, str]] = []
-        record_ids: list[str] = []
-        connection = self._store.connection
-        # committed in one batch at the end (also on error, mirroring
-        # the in-memory index, which keeps earlier rows of a failed
-        # ingest too — the session layer owns rollback, via retract())
+        # The inherited emission loop reads and adds members through the
+        # hooks above; their rows commit in one batch at the end (also
+        # on error, mirroring the in-memory index, which keeps earlier
+        # rows of a failed ingest too — the session layer owns
+        # rollback, via retract()).
         try:
-            for record in records:
-                record_id = record.record_id
-                if record_id in self._records:
-                    raise ValueError(
-                        f"record {record_id!r} is already indexed"
-                    )
-                self._records.add(record_id)
-                record_ids.append(record_id)
-                for key in self._keys_for(record):
-                    members = self._members(key)
-                    if (
-                        self.max_block_size is None
-                        or len(members) < self.max_block_size
-                    ):
-                        emitted.update(
-                            make_pair(member, record_id) for member in members
-                        )
-                    connection.execute(
-                        "INSERT INTO blocking_keys "
-                        "(run_id, block_key, record_id) VALUES (?, ?, ?)",
-                        (self._run_id, key, record_id),
-                    )
-                    memberships.append((key, record_id))
+            return super().ingest_delta(records)
         finally:
-            connection.commit()
-        return DeltaIngest(
-            pairs=sorted(emitted),
-            memberships=memberships,
-            record_ids=record_ids,
-        )
+            self._store.connection.commit()
 
     def retract(self, delta: DeltaIngest) -> None:
         """Undo one :meth:`ingest_delta` (durable-persist rollback).

@@ -1,8 +1,8 @@
 """Declarative job specifications for the experiment execution engine.
 
 A :class:`JobSpec` names *what* to compute — a metrics table, a
-metric/metric diagram, a matching-pipeline run, or one stage of a
-pipeline job graph — without running anything.  Specs are plain data:
+metric/metric diagram, a matching-pipeline run, a stream ingest —
+without running anything.  Specs are plain data:
 they can be built from CLI flags, from JSON request bodies
 (``POST /jobs``), or programmatically, and are executed by
 :class:`repro.engine.runner.ExperimentEngine`.
@@ -59,8 +59,7 @@ class JobSpec:
     ----------
     kind:
         Handler name: ``"metrics"``, ``"diagram"``, ``"pipeline"``,
-        ``"pipeline_stage"``, or a custom kind registered on the
-        engine.
+        ``"stream_ingest"``, or a custom kind registered on the engine.
     params:
         Handler parameters.  Datasets, golds, and experiments are
         referenced by their platform names (strings); pipeline jobs may
@@ -101,7 +100,11 @@ class JobSpec:
 
 @dataclass
 class JobResult:
-    """Terminal (or in-flight) status of one job."""
+    """Terminal (or in-flight) status of one job.
+
+    ``seconds`` is the job's ``engine.job`` span: cache lookup,
+    computation, encoding, and registration.
+    """
 
     job_id: str
     spec: JobSpec

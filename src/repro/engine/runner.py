@@ -5,8 +5,7 @@ objects on a ``concurrent.futures`` thread pool:
 
 * **dependency ordering** — a job runs only after all jobs in its
   ``depends_on`` have succeeded; dependency values are handed to the
-  handler in declaration order, which is how pipeline job graphs pass
-  stage outputs along;
+  handler in declaration order;
 * **failure isolation** — an exception fails only its own job;
   transitive dependents are marked ``skipped``, unrelated jobs keep
   running;
@@ -16,7 +15,13 @@ objects on a ``concurrent.futures`` thread pool:
 * **content-addressed caching** — cacheable jobs consult a
   :class:`~repro.engine.cache.ResultCache` keyed by dataset + config +
   gold content before computing, so identical re-runs (the exploration
-  hot path) cost a hash lookup instead of a recomputation.
+  hot path) cost a hash lookup instead of a recomputation;
+* **timing** — each job runs in an ``engine.job`` span, nested under the
+  span that submitted it, and :attr:`JobResult.seconds` is that span's
+  seconds.  The handler's computation runs in a child span named after
+  the kind (``engine.metrics``, ``engine.pipeline``, ...), next to
+  ``engine.cache_key``, ``engine.encode`` and ``engine.after`` (the
+  handler's hook, run on computed and cache-served jobs alike).
 
 Built-in job kinds:
 
@@ -39,11 +44,6 @@ Built-in job kinds:
     results), optional ``blocking_storage`` (``"memory"`` or
     ``"disk"``; absent from the cache token because both produce the
     same candidates).
-``pipeline_stage``
-    One stage of a pipeline expressed as a job graph (see
-    :meth:`MatchingPipeline.as_job_graph`); not cacheable because the
-    intermediates are in-memory objects.  The ``candidates`` stage
-    honours the optional ``blocker`` param.
 ``stream_ingest``
     Fold one record batch into a live
     :class:`~repro.streaming.StreamingMatcher`.  Params: ``session``,
@@ -144,7 +144,12 @@ class _Entry:
         self.scheduled = False
         # Span context captured at submit time: the worker thread
         # activates it so the job's span nests under the submitter's.
+        self.ctx = get_tracer().context()
+
+    def settle(self) -> None:
+        """Mark the job terminal; a finished job holds no span."""
         self.ctx = None
+        self.done.set()
 
 
 def serialize_experiment(experiment: Experiment) -> dict[str, object]:
@@ -241,7 +246,6 @@ class ExperimentEngine:
                 after=self._register_pipeline_result,
                 encode=_pipeline_payload,
             ),
-            "pipeline_stage": JobHandler(compute=self._compute_pipeline_stage),
             # no token: stateful, must never be served from cache
             "stream_ingest": JobHandler(compute=self._compute_stream_ingest),
         }
@@ -283,9 +287,6 @@ class ExperimentEngine:
                     cacheable=spec.cacheable,
                 )
             entry = _Entry(spec)
-            tracer = get_tracer()
-            if tracer.enabled:
-                entry.ctx = tracer.context()
             self._entries[job_id] = entry
             self._prune_history()
         return job_id
@@ -413,7 +414,7 @@ class ExperimentEngine:
             if entry.result.state is not JobState.PENDING:
                 return False
             entry.result.state = JobState.CANCELLED
-            entry.done.set()
+            entry.settle()
             return True
 
     def cancel_pending(self) -> int:
@@ -469,7 +470,7 @@ class ExperimentEngine:
                 if any(state in _BROKEN for state in dep_states):
                     entry.result.state = JobState.SKIPPED
                     entry.result.error = "dependency failed or was cancelled"
-                    entry.done.set()
+                    entry.settle()
                 elif all(state is JobState.SUCCEEDED for state in dep_states):
                     entry.scheduled = True
                     ready.append(entry)
@@ -544,21 +545,20 @@ class ExperimentEngine:
                     self.computed_jobs += 1
                     _JOBS_COMPUTED.inc()
                 _JOB_SECONDS.observe(result.seconds)
-        entry.done.set()
+        entry.settle()
 
     def _execute(self, entry: _Entry) -> None:
         spec = entry.spec
         handler = self._handlers[spec.kind]
-        started = time.perf_counter()
+        with self._lock:
+            if entry.result.state is not JobState.PENDING:
+                return  # cancelled while queued behind busy workers
+            entry.result.state = JobState.RUNNING
+            inputs = [
+                self._entries[dep].result.value for dep in spec.depends_on
+            ]
+        tracer = get_tracer()
         try:
-            with self._lock:
-                if entry.result.state is not JobState.PENDING:
-                    return  # cancelled while queued behind busy workers
-                entry.result.state = JobState.RUNNING
-                inputs = [
-                    self._entries[dep].result.value for dep in spec.depends_on
-                ]
-            tracer = get_tracer()
             # Activate the context captured at submit time so the job's
             # span nests under the submitting thread's span tree even
             # though it runs on a pool worker.
@@ -576,7 +576,8 @@ class ExperimentEngine:
                     entry.result.cached = True
                     computed = value
                 else:
-                    computed = handler.compute(spec.params, inputs)
+                    with tracer.span(f"engine.{spec.kind}"):
+                        computed = handler.compute(spec.params, inputs)
                     value = computed
                     if handler.encode is not None:
                         with tracer.span("engine.encode"):
@@ -585,16 +586,19 @@ class ExperimentEngine:
                         self.cache.put(entry.result.cache_key, spec.kind, value)
                 job_span.annotate(cached=entry.result.cached)
                 if handler.after is not None:
-                    handler.after(spec.params, computed, entry.result.cached)
+                    with tracer.span("engine.after"):
+                        handler.after(spec.params, computed, entry.result.cached)
                 entry.result.value = value
-                _LOG.debug(
-                    "job %s (%s) %s",
-                    spec.job_id,
-                    spec.kind,
-                    "served from cache" if entry.result.cached else "computed",
-                )
         finally:
-            entry.result.seconds = time.perf_counter() - started
+            # the span closed with the job, failed or not
+            entry.result.seconds = job_span.seconds
+        # logged after the span closes: log handlers are not job time
+        _LOG.debug(
+            "job %s (%s) %s",
+            spec.job_id,
+            spec.kind,
+            "served from cache" if entry.result.cached else "computed",
+        )
 
     # -- built-in handlers --------------------------------------------------------
 
@@ -759,30 +763,3 @@ class ExperimentEngine:
         records = coerce_records(params["records"])
         snapshot = session.ingest(records)
         return {"stream": session.name, **snapshot.as_dict()}
-
-    def _compute_pipeline_stage(
-        self, params: Mapping[str, object], inputs: Sequence[object]
-    ) -> object:
-        pipeline = params["pipeline"]
-        stage = params["stage"]
-        if stage == "prepare":
-            return pipeline.prepare(self.platform.dataset(params["dataset"]))
-        if stage == "candidates":
-            (prepared,) = inputs
-            return self._selected_pipeline(params).generate_candidates(prepared)
-        if stage == "similarity":
-            prepared, candidates = inputs
-            return pipeline.compare_candidates(prepared, candidates)
-        if stage == "decision":
-            (vectors,) = inputs
-            return pipeline.score_vectors(vectors)
-        if stage == "clustering":
-            (scored_pairs,) = inputs
-            experiment = pipeline.cluster_matches(scored_pairs)
-            if params.get("register", True):
-                if experiment.name not in self.platform.experiment_names(
-                    params["dataset"]
-                ):
-                    self.platform.add_experiment(params["dataset"], experiment)
-            return experiment
-        raise EngineError(f"unknown pipeline stage {stage!r}")

@@ -19,7 +19,7 @@ updates provably identical to a from-scratch rebuild.
 from __future__ import annotations
 
 import heapq
-import time
+from contextlib import contextmanager
 
 from repro.core.pairs import Pair, make_pair
 from repro.telemetry import spans as _tracing
@@ -181,8 +181,21 @@ class MatchGraph:
             "accepted": accepted,
         }
 
-    def _timed_query(self, kind: str):
-        return _QueryTimer(kind)
+    @contextmanager
+    def _query(self, kind: str, **annotations: object):
+        """Run one traversal in a ``graph.query`` span; count and time it.
+
+        The span's seconds feed ``frost_graph_traversal_seconds``.
+        """
+        query = _tracing.span(
+            "graph.query", kind=kind, graph=self.name, **annotations
+        )
+        try:
+            with query:
+                yield
+        finally:
+            _TRAVERSALS.inc()
+            _TRAVERSAL_SECONDS.observe(query.seconds)
 
     def neighbors(
         self,
@@ -199,9 +212,7 @@ class MatchGraph:
         """
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise GraphQueryError(f"k must be a non-negative integer, got {k!r}")
-        with self._timed_query("neighbors"), _tracing.span(
-            "graph.query", kind="neighbors", graph=self.name, k=k
-        ):
+        with self._query("neighbors", k=k):
             origin = self.node_of(native_id)
             hops = {origin: 0}
             frontier = [origin]
@@ -250,9 +261,7 @@ class MatchGraph:
         Records in different components yield ``found: False`` with an
         empty path — absence of a path is a valid answer, not an error.
         """
-        with self._timed_query("path"), _tracing.span(
-            "graph.query", kind="path", graph=self.name
-        ):
+        with self._query("path"):
             start, goal = self.node_of(source), self.node_of(target)
             if start == goal:
                 return self._path_payload(source, target, [start], threshold)
@@ -300,9 +309,7 @@ class MatchGraph:
 
     def component_of(self, native_id: str) -> dict:
         """Drill-down of the component containing one record."""
-        with self._timed_query("component"), _tracing.span(
-            "graph.query", kind="component", graph=self.name
-        ):
+        with self._query("component"):
             node = self.node_of(native_id)
             return self._component_payload(self._label[node])
 
@@ -314,9 +321,7 @@ class MatchGraph:
             raise GraphQueryError(
                 f"limit must be a non-negative integer, got {limit!r}"
             )
-        with self._timed_query("components"), _tracing.span(
-            "graph.query", kind="components", graph=self.name
-        ):
+        with self._query("components"):
             labels = sorted(
                 self._members,
                 key=lambda label: (-len(self._members[label]), label),
@@ -353,9 +358,7 @@ class MatchGraph:
         strongest — the most defensible chain of evidence.  Each edge
         carries its per-attribute similarity breakdown.
         """
-        with self._timed_query("explain"), _tracing.span(
-            "graph.query", kind="explain", graph=self.name
-        ):
+        with self._query("explain"):
             start, goal = self.node_of(source), self.node_of(target)
             if start == goal:
                 return {
@@ -459,18 +462,3 @@ class MatchGraph:
             "cluster_count": sum(1 for size in sizes if size > 1),
             "largest_component": max(sizes, default=0),
         }
-
-
-class _QueryTimer:
-    """Counts traversals and observes their wall time."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-
-    def __enter__(self) -> "_QueryTimer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _TRAVERSALS.inc()
-        _TRAVERSAL_SECONDS.observe(time.perf_counter() - self._started)

@@ -174,13 +174,16 @@ def score_candidates(
         count_fallback(len(ordered))
         with _tracing.span("comparison.serial", pairs=len(ordered)):
             return compare_pairs(resolved, ordered, comparator), missing
-    candidates = (
-        candidates if isinstance(candidates, (list, tuple)) else list(candidates)
-    )
-    if store is None or any(
-        attribute not in store.attributes for attribute in plan.attributes
-    ):
-        store = _candidate_store(records, candidates, plan.attributes)
-    ordered, rows, missing = _store_order(store, candidates)
+    with _tracing.span("comparison.order") as order_span:
+        candidates = (
+            candidates if isinstance(candidates, (list, tuple))
+            else list(candidates)
+        )
+        if store is None or any(
+            attribute not in store.attributes for attribute in plan.attributes
+        ):
+            store = _candidate_store(records, candidates, plan.attributes)
+        ordered, rows, missing = _store_order(store, candidates)
+        order_span.annotate(pairs=len(ordered))
     _PAIRS_COMPARED.inc(len(ordered))
     return compare_block(store, ordered, plan, rows), missing

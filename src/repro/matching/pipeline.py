@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import logging
-import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -72,6 +71,16 @@ def _coerce_blocking_storage(blocking_storage: str) -> str:
     return storage
 
 __all__ = ["PipelineRun", "MatchingPipeline", "normalize_whitespace", "lowercase_values"]
+
+# ``PipelineRun.stage_seconds`` key of each stage span under ``pipeline.run``.
+_STAGE_KEYS = {
+    "pipeline.prepare": "preparation",
+    "pipeline.candidates": "candidates",
+    "pipeline.similarity": "similarity",
+    "pipeline.decision": "decision",
+    "pipeline.clustering": "clustering",
+    "pipeline.fusion": "fusion",
+}
 
 Preparer = Callable[[Record], Record]
 CandidateGenerator = Callable[[Dataset], set[Pair]]
@@ -195,7 +204,7 @@ class MatchingPipeline:
         self.solution = solution
         self.blocking_storage = _coerce_blocking_storage(blocking_storage)
 
-    # -- stages (each one is a node of the job graph) ---------------------------
+    # -- stages ------------------------------------------------------------------
 
     def prepare(self, dataset: Dataset) -> Dataset:
         """Step 1 — apply the record-level preparers in order.
@@ -368,50 +377,32 @@ class MatchingPipeline:
             )
             return clustering, experiment
 
-    def cluster_matches(self, scored_pairs: Sequence[ScoredPair]) -> Experiment:
-        """Step 5 as a job-graph stage: scored pairs to experiment."""
-        _, experiment = self._cluster(scored_pairs)
-        return experiment
-
     def run(self, dataset: Dataset) -> PipelineRun:
-        """Execute all pipeline steps on ``dataset``."""
+        """Execute all pipeline steps on ``dataset``.
+
+        ``stage_seconds`` and the experiment's ``runtime_seconds``
+        metadata are the stage spans' seconds, read off the children of
+        this run's ``pipeline.run`` span (their sum, for the runtime).
+        """
         with _tracing.span(
             "pipeline.run", pipeline=self.name, records=len(dataset)
-        ):
-            return self._run_traced(dataset)
-
-    def _run_traced(self, dataset: Dataset) -> PipelineRun:
-        stage_seconds: dict[str, float] = {}
-
-        started = time.perf_counter()
-        prepared = self.prepare(dataset)
-        stage_seconds["preparation"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        candidates = self.generate_candidates(prepared)
-        stage_seconds["candidates"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        vectors = self.compare_candidates(prepared, candidates)
-        stage_seconds["similarity"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        scored_pairs = self.score_vectors(vectors)
-        stage_seconds["decision"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        clustering, experiment = self._cluster(scored_pairs)
-        stage_seconds["clustering"] = time.perf_counter() - started
-
-        fused = None
-        if self.fuse:
-            started = time.perf_counter()
-            with _tracing.span("pipeline.fusion"):
-                fused = fuse_dataset(
-                    dataset, clustering, strategies=self.fusion_strategies
-                )
-            stage_seconds["fusion"] = time.perf_counter() - started
-
+        ) as run_span:
+            prepared = self.prepare(dataset)
+            candidates = self.generate_candidates(prepared)
+            vectors = self.compare_candidates(prepared, candidates)
+            scored_pairs = self.score_vectors(vectors)
+            clustering, experiment = self._cluster(scored_pairs)
+            fused = None
+            if self.fuse:
+                with _tracing.span("pipeline.fusion"):
+                    fused = fuse_dataset(
+                        dataset, clustering, strategies=self.fusion_strategies
+                    )
+        stage_seconds = {
+            _STAGE_KEYS[stage.name]: stage.seconds
+            for stage in run_span.children
+            if stage.name in _STAGE_KEYS
+        }
         experiment.metadata["runtime_seconds"] = sum(stage_seconds.values())
         return PipelineRun(
             dataset=dataset,
@@ -486,48 +477,6 @@ class MatchingPipeline:
             "name": self.name,
             "solution": self.solution,
         }
-
-    def as_job_graph(
-        self,
-        dataset_name: str,
-        prefix: str | None = None,
-        register: bool = True,
-    ) -> list["JobSpec"]:
-        """This pipeline run as a five-stage dependency-ordered job graph.
-
-        Each stage becomes one :class:`~repro.engine.jobs.JobSpec`
-        whose inputs are the outputs of its dependencies, so an
-        :class:`~repro.engine.runner.ExperimentEngine` can interleave
-        stages of several pipelines on its worker pool and per-stage
-        timings/failures stay observable per job.  The final
-        ``clustering`` stage yields the experiment (and registers it on
-        the platform when ``register`` is set).
-        """
-        from repro.engine.jobs import JobSpec
-
-        prefix = prefix or self.name
-
-        def stage(name: str, *depends_on: str, **extra: object) -> JobSpec:
-            return JobSpec(
-                kind="pipeline_stage",
-                params={
-                    "pipeline": self,
-                    "stage": name,
-                    "dataset": dataset_name,
-                    **extra,
-                },
-                job_id=f"{prefix}:{name}",
-                depends_on=tuple(f"{prefix}:{dep}" for dep in depends_on),
-                cacheable=False,
-            )
-
-        return [
-            stage("prepare"),
-            stage("candidates", "prepare"),
-            stage("similarity", "prepare", "candidates"),
-            stage("decision", "similarity"),
-            stage("clustering", "decision", register=register),
-        ]
 
     def scored_experiment(self, dataset: Dataset, keep_all: bool = True) -> Experiment:
         """An experiment carrying *all* scored candidate pairs.

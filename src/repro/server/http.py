@@ -23,7 +23,6 @@ import json
 import logging
 import signal
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlparse
 
@@ -180,7 +179,6 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
             self._serve("POST", body)
 
         def _serve(self, method: str, body: object) -> None:
-            started = time.perf_counter()
             parsed = urlparse(self.path)
             query = dict(parse_qsl(parsed.query))
             # Honor the client's correlation id, mint one otherwise;
@@ -236,8 +234,8 @@ def _make_handler(api: FrostApi) -> type[BaseHTTPRequestHandler]:
                         status = 500
                     self._respond(status, payload, retry_after=retry_after)
                 http_span.annotate(status=status)
-            duration_ms = (time.perf_counter() - started) * 1000.0
-            _observe_request(parsed.path, duration_ms / 1000.0)
+            duration_ms = http_span.seconds * 1000.0
+            _observe_request(parsed.path, http_span.seconds)
             _ACCESS_LOG.debug(
                 "%s %s -> %d in %.2fms [%s]",
                 method,

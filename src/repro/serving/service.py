@@ -30,13 +30,13 @@ from __future__ import annotations
 import logging
 import math
 import threading
-import time
 
 from repro.core.platform import FrostPlatform
 from repro.engine.cache import MISS
 from repro.engine.jobs import job_cache_key
 from repro.serving.cache import MetricResultCache
 from repro.serving.coalesce import RequestCoalescer
+from repro.telemetry import spans as _tracing
 from repro.telemetry.metrics import get_metrics
 
 __all__ = ["ServingLayer"]
@@ -123,16 +123,12 @@ class ServingLayer:
         ``token`` is hashed with the content fingerprints of any domain
         objects it carries, so the key identifies the *inputs* of the
         computation; ``dataset_name`` tags the entry for invalidation.
+        The fetch runs in a ``serving.fetch`` span, whose seconds feed
+        ``frost_serving_request_seconds``.
         """
         with self._counter_lock:
             self.requests += 1
         _SERVING_REQUESTS.inc()
-        started = time.perf_counter()
-        key = job_cache_key(kind, token)
-        payload = self.cache.get(key)
-        if payload is not MISS:
-            _SERVING_LATENCY.observe(time.perf_counter() - started)
-            return payload
 
         def fill():
             # Re-check under the flight: a follower of a finished
@@ -149,10 +145,16 @@ class ServingLayer:
             self.cache.put(key, payload, tag=dataset_name)
             return payload
 
+        fetch = _tracing.span("serving.fetch", kind=kind)
         try:
-            return self.coalescer.run(key, fill)
+            with fetch:
+                key = job_cache_key(kind, token)
+                payload = self.cache.get(key)
+                if payload is not MISS:
+                    return payload
+                return self.coalescer.run(key, fill)
         finally:
-            _SERVING_LATENCY.observe(time.perf_counter() - started)
+            _SERVING_LATENCY.observe(fetch.seconds)
 
     # -- served evaluations -------------------------------------------------------
 

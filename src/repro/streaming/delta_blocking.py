@@ -179,7 +179,7 @@ class IncrementalBlockingIndex:
             self._records.add(record_id)
             record_ids.append(record_id)
             for key in self._keys_for(record):
-                members = self._blocks.setdefault(key, [])
+                members = self._members(key)
                 if (
                     self.max_block_size is None
                     or len(members) < self.max_block_size
@@ -187,13 +187,21 @@ class IncrementalBlockingIndex:
                     emitted.update(
                         make_pair(member, record_id) for member in members
                     )
-                members.append(record_id)
+                self._add_member(key, record_id)
                 memberships.append((key, record_id))
         return DeltaIngest(
             pairs=sorted(emitted),
             memberships=memberships,
             record_ids=record_ids,
         )
+
+    def _members(self, key: str) -> Sequence[str]:
+        """The records of block ``key``, in arrival order."""
+        return self._blocks.get(key, ())
+
+    def _add_member(self, key: str, record_id: str) -> None:
+        """Append ``record_id`` to block ``key``."""
+        self._blocks.setdefault(key, []).append(record_id)
 
     def retract(self, delta: DeltaIngest) -> None:
         """Undo one :meth:`ingest_delta` (used when durable persistence

@@ -363,44 +363,46 @@ class StreamingMatcher:
                 delta_candidates=snapshot.delta_candidates,
                 accepted=snapshot.accepted_matches,
             )
-            _LOG.debug(
-                "stream %s ingested %d records (version %d, %d accepted)",
-                self.name,
-                len(batch),
-                snapshot.version,
-                snapshot.accepted_matches,
-            )
+        # logged after the span closes: log handlers are not ingest time
+        _LOG.debug(
+            "stream %s ingested %d records (version %d, %d accepted)",
+            self.name,
+            len(batch),
+            snapshot.version,
+            snapshot.accepted_matches,
+        )
         _STREAM_BATCHES.inc()
         _STREAM_RECORDS.inc(len(batch))
         return snapshot
 
     def _ingest_locked(self, batch: Sequence[Record]) -> StreamSnapshot:
         version = self.version + 1
-        for record in batch:
-            if record.record_id in self._numeric:
-                raise StreamError(
-                    f"record {record.record_id!r} was already ingested into "
-                    f"stream {self.name!r}"
-                )
-        # Step 1 (preparation) via the pipeline stage method; Dataset
-        # construction also rejects duplicate ids within the batch.
-        batch_dataset = Dataset(batch, name=f"{self.name}-batch{version}")
-        prepared = self.pipeline.prepare(batch_dataset)
+        with get_tracer().span("stream.register", records=len(batch)):
+            for record in batch:
+                if record.record_id in self._numeric:
+                    raise StreamError(
+                        f"record {record.record_id!r} was already ingested "
+                        f"into stream {self.name!r}"
+                    )
+            # Step 1 (preparation) via the pipeline stage method; Dataset
+            # construction also rejects duplicate ids within the batch.
+            batch_dataset = Dataset(batch, name=f"{self.name}-batch{version}")
+            prepared = self.pipeline.prepare(batch_dataset)
 
-        # A durable ingest must leave the live session untouched when
-        # the store rejects the batch (e.g. another process appended
-        # the same version concurrently) — keep what is needed to roll
-        # every in-memory mutation back.
-        unionfind_backup = (
-            self._unionfind.copy() if self._store is not None else None
-        )
+            # A durable ingest must leave the live session untouched when
+            # the store rejects the batch (e.g. another process appended
+            # the same version concurrently) — keep what is needed to roll
+            # every in-memory mutation back.
+            unionfind_backup = (
+                self._unionfind.copy() if self._store is not None else None
+            )
 
-        new_numeric = self._unionfind.grow(len(batch))
-        for numeric_id, raw, clean in zip(new_numeric, batch, prepared):
-            self._numeric[raw.record_id] = numeric_id
-            self._native.append(raw.record_id)
-            self._raw[raw.record_id] = raw
-            self._prepared[raw.record_id] = clean
+            new_numeric = self._unionfind.grow(len(batch))
+            for numeric_id, raw, clean in zip(new_numeric, batch, prepared):
+                self._numeric[raw.record_id] = numeric_id
+                self._native.append(raw.record_id)
+                self._raw[raw.record_id] = raw
+                self._prepared[raw.record_id] = clean
 
         plan = plan_for(self.pipeline.comparator)
         if plan is not None:
@@ -408,19 +410,21 @@ class StreamingMatcher:
                 self._extend_layout(prepared, plan)
 
         # Steps 2-4 on the delta only.
-        delta = self.index.ingest_delta(prepared)
+        with get_tracer().span("stream.delta_index", records=len(batch)):
+            delta = self.index.ingest_delta(prepared)
         vectors = self.pipeline.compare_candidates(
             _PreparedView(self._prepared, self._layout), delta.pairs
         )
         scored = self.pipeline.score_vectors(vectors)
-        accepted = accepted_pairs(scored, self.pipeline.threshold)
 
         # Step 5, incrementally: fold accepted matches into the
         # persistent union-find (connected components maintenance).
-        self._unionfind.tracked_union(
-            (self._numeric[sp.pair[0]], self._numeric[sp.pair[1]])
-            for sp in accepted
-        )
+        with get_tracer().span("stream.clustering", scored=len(scored)):
+            accepted = accepted_pairs(scored, self.pipeline.threshold)
+            self._unionfind.tracked_union(
+                (self._numeric[sp.pair[0]], self._numeric[sp.pair[1]])
+                for sp in accepted
+            )
         self._accepted.extend(accepted)
 
         snapshot = StreamSnapshot(
@@ -434,8 +438,9 @@ class StreamingMatcher:
         )
         if self._store is not None:
             try:
-                self._persist_batch(batch, delta.memberships, accepted,
-                                    snapshot)
+                with get_tracer().span("stream.persist", records=len(batch)):
+                    self._persist_batch(batch, delta.memberships, accepted,
+                                        snapshot)
             except BaseException:
                 self._layout = None
                 self._unionfind = unionfind_backup

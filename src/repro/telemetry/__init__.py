@@ -6,9 +6,11 @@ the columnar-graph-DBMS line of work is driven by per-operator timing
 breakdowns, and this package gives the reproduction the same substrate):
 
 :mod:`repro.telemetry.spans`
-    A low-overhead span tracer (context-manager + decorator API,
-    thread-local stack, explicit cross-thread/cross-process context
-    propagation).  Disabled by default; near-free while disabled.
+    The span tracer and the one timing source (context-manager API,
+    thread-local stack, explicit cross-thread context propagation).
+    Spans are always measured and linked, so reported durations —
+    stage seconds, job seconds, request latencies — are span seconds;
+    enabling the tracer only keeps the finished trees for export.
 :mod:`repro.telemetry.metrics`
     Named counters, gauges, and fixed-bucket histograms with
     thread-safe mutation and snapshot/reset semantics.  The engine
@@ -55,7 +57,6 @@ from repro.telemetry.spans import (
     annotate,
     get_tracer,
     span,
-    trace,
 )
 from repro.telemetry.store import TELEMETRY_SCHEMA, TelemetryError, TelemetryStore
 
@@ -66,7 +67,6 @@ __all__ = [
     "annotate",
     "get_tracer",
     "span",
-    "trace",
     "Counter",
     "Gauge",
     "Histogram",

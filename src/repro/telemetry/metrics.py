@@ -12,8 +12,6 @@ Design constraints:
 * **exactness under concurrency** — every mutation takes the
   instrument's lock; eight HTTP threads incrementing one counter lose
   nothing (a bare ``+=`` on an attribute is *not* atomic in CPython);
-* **near-zero cost when disabled** — :meth:`MetricsRegistry.disable`
-  turns every ``inc``/``set``/``observe`` into a single flag check;
 * **get-or-create registration** — instruments are addressed by name,
   so independent modules share one counter by naming it identically
   (re-registering with a different type is an error, not a silent
@@ -43,15 +41,14 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 
 
 class _Instrument:
-    """Shared plumbing: name, help text, a lock, the enabled switch."""
+    """Shared plumbing: name, help text, a lock."""
 
-    __slots__ = ("name", "help", "_lock", "_registry")
+    __slots__ = ("name", "help", "_lock")
 
-    def __init__(self, name: str, help_text: str, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str, help_text: str) -> None:
         self.name = name
         self.help = help_text
         self._lock = threading.Lock()
-        self._registry = registry
 
 
 class Counter(_Instrument):
@@ -61,14 +58,12 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, help_text: str, registry: "MetricsRegistry") -> None:
-        super().__init__(name, help_text, registry)
+    def __init__(self, name: str, help_text: str) -> None:
+        super().__init__(name, help_text)
         self._value = 0
 
     def inc(self, amount: int | float = 1) -> None:
         """Add ``amount`` (must be non-negative) to the counter."""
-        if not self._registry.enabled:
-            return
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease by {amount}")
         with self._lock:
@@ -94,19 +89,15 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str, registry: "MetricsRegistry") -> None:
-        super().__init__(name, help_text, registry)
+    def __init__(self, name: str, help_text: str) -> None:
+        super().__init__(name, help_text)
         self._value = 0.0
 
     def set(self, value: int | float) -> None:
-        if not self._registry.enabled:
-            return
         with self._lock:
             self._value = value
 
     def inc(self, amount: int | float = 1) -> None:
-        if not self._registry.enabled:
-            return
         with self._lock:
             self._value += amount
 
@@ -142,10 +133,9 @@ class Histogram(_Instrument):
         self,
         name: str,
         help_text: str,
-        registry: "MetricsRegistry",
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        super().__init__(name, help_text, registry)
+        super().__init__(name, help_text)
         bounds = tuple(sorted(float(bound) for bound in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
@@ -155,8 +145,6 @@ class Histogram(_Instrument):
         self._count = 0
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         index = bisect.bisect_left(self.buckets, value)
         with self._lock:
             self._counts[index] += 1
@@ -212,19 +200,9 @@ class MetricsRegistry:
     zeroes values instead of replacing objects.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
-
-    # -- switches ---------------------------------------------------------------
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn every mutation into a flag check (instruments freeze)."""
-        self.enabled = False
 
     # -- registration -----------------------------------------------------------
 
@@ -248,7 +226,7 @@ class MetricsRegistry:
                         f"metric {name!r} is a {existing.kind}, not a histogram"
                     )
                 return existing
-            instrument = Histogram(name, help_text, self, buckets=buckets)
+            instrument = Histogram(name, help_text, buckets=buckets)
             self._instruments[name] = instrument
             return instrument
 
@@ -262,7 +240,7 @@ class MetricsRegistry:
                         f"not a {cls.kind}"
                     )
                 return existing
-            instrument = cls(name, help_text, self)
+            instrument = cls(name, help_text)
             self._instruments[name] = instrument
             return instrument
 
@@ -302,7 +280,7 @@ class MetricsRegistry:
             instrument._reset()
 
 
-_DEFAULT_REGISTRY = MetricsRegistry(enabled=True)
+_DEFAULT_REGISTRY = MetricsRegistry()
 
 
 def get_metrics() -> MetricsRegistry:

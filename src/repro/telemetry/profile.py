@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from pathlib import Path
 
 from repro.telemetry.spans import get_tracer
@@ -110,8 +109,6 @@ class SamplingProfiler:
         self._lock = threading.Lock()
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
-        self._started_at: float | None = None
-        self.wall_seconds = 0.0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -120,7 +117,6 @@ class SamplingProfiler:
         if self._thread is not None:
             return
         self._stop_event.clear()
-        self._started_at = time.perf_counter()
         self._thread = threading.Thread(
             target=self._run, name="frost-profiler", daemon=True
         )
@@ -134,16 +130,11 @@ class SamplingProfiler:
         self._stop_event.set()
         thread.join(timeout=5)
         self._thread = None
-        if self._started_at is not None:
-            self.wall_seconds += time.perf_counter() - self._started_at
-            self._started_at = None
         samples = self.samples()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.annotate(
-                profile_samples=sum(samples.values()),
-                profile_stacks=len(samples),
-            )
+        get_tracer().annotate(
+            profile_samples=sum(samples.values()),
+            profile_stacks=len(samples),
+        )
         return samples
 
     def __enter__(self) -> "SamplingProfiler":

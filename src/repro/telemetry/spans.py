@@ -1,13 +1,14 @@
-"""Low-overhead span tracing for pipeline and serving observability.
+"""Span tracing: the one timing source of pipeline and serving code.
 
 A *span* is one named, timed unit of work — a pipeline stage, an engine
 job, a comparison kernel pass — with free-form annotations (record
 counts, cache hits) and child spans.  :class:`Tracer` maintains a
 thread-local span stack, so nesting falls out of lexical structure::
 
-    with tracer.span("pipeline.run", records=len(dataset)):
+    with tracer.span("pipeline.run", records=len(dataset)) as run:
         with tracer.span("pipeline.prepare"):
             ...
+    run.seconds  # measured, traced or not
 
 Crossing a thread boundary needs *explicit* context propagation,
 because a thread-local stack does not follow the work: capture
@@ -17,14 +18,17 @@ runner does exactly this, so job spans hang off the span that
 submitted them.  All work runs in one process, so every span is an
 interval this tracer measured itself.
 
-Tracing is **disabled by default** and must stay near-free that way:
-the pipeline's hot paths call :func:`span` unconditionally, so a
-disabled tracer answers with a shared no-op context manager after a
-single attribute check — no allocation, no locking, no clock reads.
+Every span is measured and linked to its parent whether tracing is on
+or off, so code that reports a duration (a pipeline's stage seconds, an
+engine job's seconds, request latency metrics) reads it from its span
+instead of keeping a stopwatch of its own.  :attr:`Tracer.enabled`
+(off by default) only decides whether finished root trees are kept in
+:meth:`Tracer.roots` for exporters.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -36,14 +40,24 @@ __all__ = [
     "get_tracer",
     "span",
     "annotate",
-    "trace",
 ]
 
 _ids = itertools.count(1)
 
+# Wall-clock time of the performance counter's zero, fixed at import: a
+# span's ``started_at`` comes from the same clock reading as its
+# ``seconds``, so the intervals of a parent and its children compare
+# exactly.
+_EPOCH = time.time() - time.perf_counter()
+
 
 class Span:
-    """One named, timed unit of work in a trace tree."""
+    """One named, timed unit of work in a trace tree.
+
+    :meth:`Tracer.span` opens a span and returns it; as a context
+    manager it closes itself on exit, setting :attr:`seconds`.  A span
+    built directly (an exported row, a test fixture) is just a record.
+    """
 
     __slots__ = (
         "name",
@@ -54,17 +68,36 @@ class Span:
         "annotations",
         "children",
         "_start",
+        "_tracer",
+        "_parent",
     )
 
-    def __init__(self, name: str, parent_id: int | None, annotations: dict) -> None:
+    def __init__(
+        self,
+        name: str,
+        parent_id: int | None,
+        annotations: dict,
+        start: float | None = None,
+    ) -> None:
+        self._start = time.perf_counter() if start is None else start
+        self.started_at = _EPOCH + self._start
         self.name = name
         self.span_id = next(_ids)
         self.parent_id = parent_id
-        self.started_at = time.time()
-        self._start = time.perf_counter()
-        self.seconds: float | None = None
         self.annotations = annotations
         self.children: list[Span] = []
+        self.seconds: float | None = None
+        self._tracer: Tracer | None = None
+        self._parent: Span | None = None
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.seconds = time.perf_counter() - self._start
+        if exc_type is not None:
+            self.annotations.setdefault("error", exc_type.__name__)
+        self._tracer._close(self)
 
     def annotate(self, **annotations: object) -> None:
         """Attach key/value annotations to this span."""
@@ -118,47 +151,6 @@ class Span:
         return f"Span({self.name!r}, seconds={self.seconds})"
 
 
-class _NullSpan:
-    """The no-op span handed out while tracing is disabled.
-
-    One shared instance: entering, exiting, and annotating all cost a
-    single dynamic dispatch, which is what keeps disabled-mode overhead
-    under the noise floor of any benchmark.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-    def annotate(self, **annotations: object) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _ActiveSpan:
-    """Context manager pushing one real span on the tracer's stack."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", name: str, annotations: dict) -> None:
-        self._tracer = tracer
-        self._span = tracer._open(name, annotations)
-
-    def __enter__(self) -> Span:
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self._span.annotations.setdefault("error", exc_type.__name__)
-        self._tracer._close(self._span)
-
-
 class _ActivatedContext:
     """Context manager installing a captured span as this thread's parent."""
 
@@ -189,12 +181,13 @@ class SpanContext:
 
 
 class Tracer:
-    """A thread-aware span tracer with an on/off switch.
+    """A thread-aware span tracer that keeps finished trees when enabled.
 
-    Completed root spans accumulate in :meth:`roots` until
-    :meth:`reset`; exporters read them from there.  All tree mutations
-    are lock-guarded because context propagation means several threads
-    may append children to one shared parent.
+    Spans are measured and linked to their parents either way; while
+    :attr:`enabled`, completed root spans accumulate in :meth:`roots`
+    until :meth:`reset`, and exporters read them from there.  Tree
+    mutations are lock-guarded because context propagation means
+    several threads may append children to one shared parent.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -218,37 +211,33 @@ class Tracer:
 
     # -- span creation ----------------------------------------------------------
 
-    def span(self, name: str, **annotations: object):
-        """A context manager timing one unit of work.
+    def span(self, name: str, **annotations: object) -> Span:
+        """Open a span timing one unit of work; use it as a context manager.
 
-        Returns the shared no-op span when tracing is disabled — the
-        hot-path cost of an un-traced call is this one check.
+        The span starts now, as a child of this thread's innermost open
+        span, and closes when its ``with`` block exits.  The clock is
+        read first, so setting the span up counts as its own time, not
+        its parent's.
         """
-        if not self.enabled:
-            return _NULL_SPAN
-        return _ActiveSpan(self, name, annotations)
-
-    def trace(self, name: str | None = None):
-        """Decorator form of :meth:`span` (span named after the function)."""
-
-        def decorate(function):
-            import functools
-
-            span_name = name or function.__qualname__
-
-            @functools.wraps(function)
-            def wrapper(*args, **kwargs):
-                with self.span(span_name):
-                    return function(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
+        start = time.perf_counter()
+        stack = self._stack()
+        parent = stack[-1] if stack else None
+        # Correlation ids flow down the tree: a child span inherits the
+        # parent's request_id unless it carries its own, so every span
+        # of one served request — including spans opened on engine
+        # workers under an activated context — shares the id.
+        if parent is not None and "request_id" not in annotations:
+            inherited = parent.annotations.get("request_id")
+            if inherited is not None:
+                annotations["request_id"] = inherited
+        span = Span(name, parent.span_id if parent else None, annotations, start)
+        span._tracer = self
+        span._parent = parent
+        stack.append(span)
+        return span
 
     def annotate(self, **annotations: object) -> None:
         """Annotate the innermost open span (no-op without one)."""
-        if not self.enabled:
-            return
         current = self.current()
         if current is not None:
             current.annotate(**annotations)
@@ -269,17 +258,17 @@ class Tracer:
 
         Spans opened inside the ``with`` become children of the
         captured span even though they run on a different thread.
-        ``None`` (or an empty capture, or a disabled tracer) is a
-        no-op, so callers can thread contexts through unconditionally.
+        ``None`` (or an empty capture) is a no-op, so callers can
+        thread contexts through unconditionally.
         """
-        if not self.enabled or context is None or context.span is None:
-            return _NULL_SPAN
+        if context is None or context.span is None:
+            return contextlib.nullcontext()
         return _ActivatedContext(self, context.span)
 
     # -- results ----------------------------------------------------------------
 
     def roots(self) -> list[Span]:
-        """Completed root spans, oldest first."""
+        """Completed root spans, oldest first (kept only while enabled)."""
         with self._lock:
             return list(self._roots)
 
@@ -292,33 +281,19 @@ class Tracer:
             self._local.stack = stack
         return stack
 
-    def _open(self, name: str, annotations: dict) -> Span:
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        # Correlation ids flow down the tree: a child span inherits the
-        # parent's request_id unless it carries its own, so every span
-        # of one served request — including spans opened on engine
-        # workers under an activated context — shares the id.
-        if parent is not None and "request_id" not in annotations:
-            inherited = parent.annotations.get("request_id")
-            if inherited is not None:
-                annotations["request_id"] = inherited
-        span = Span(name, parent.span_id if parent else None, annotations)
-        stack.append(span)
-        return span
-
     def _close(self, span: Span) -> None:
-        span.seconds = time.perf_counter() - span._start
         stack = self._stack()
         # Tolerate exotic unwind orders (generators finalized late):
         # remove the span wherever it sits instead of corrupting peers.
         if span in stack:
             stack.remove(span)
-        parent = stack[-1] if stack else None
+        # A closed span keeps no link up the tree, so a finished tree
+        # is freed by reference counting alone once nothing holds it.
+        parent, span._parent = span._parent, None
         with self._lock:
             if parent is not None:
                 parent.children.append(span)
-            else:
+            elif self.enabled:
                 self._roots.append(span)
 
 
@@ -326,20 +301,15 @@ _DEFAULT_TRACER = Tracer(enabled=False)
 
 
 def get_tracer() -> Tracer:
-    """The process-wide default tracer (disabled until enabled)."""
+    """The process-wide default tracer (keeps no trees until enabled)."""
     return _DEFAULT_TRACER
 
 
-def span(name: str, **annotations: object):
-    """Open a span on the default tracer (no-op while disabled)."""
+def span(name: str, **annotations: object) -> Span:
+    """Open a span on the default tracer."""
     return _DEFAULT_TRACER.span(name, **annotations)
 
 
 def annotate(**annotations: object) -> None:
     """Annotate the default tracer's innermost open span."""
     _DEFAULT_TRACER.annotate(**annotations)
-
-
-def trace(name: str | None = None):
-    """Decorator tracing a function on the default tracer."""
-    return _DEFAULT_TRACER.trace(name)

@@ -440,16 +440,6 @@ class TestPipelineJobs:
             served.experiment(dataset, lane_pipeline.name)
         ) == digest
 
-    def test_pipeline_as_job_graph_matches_direct_run(self, engine, pipeline):
-        direct = pipeline.run(engine.platform.dataset("people")).experiment
-        graph = pipeline.as_job_graph("people", prefix="graph", register=False)
-        results = engine.run(graph)
-        assert all(
-            result.state is JobState.SUCCEEDED for result in results.values()
-        )
-        staged = results["graph:clustering"].value
-        assert staged.pairs() == direct.pairs()
-
     def test_duck_typed_comparator_still_fingerprints(self, engine, pipeline):
         class MeanComparator:
             def compare(self, first, second):
@@ -498,29 +488,6 @@ class TestPipelineJobs:
         assert stale.cached is True
         assert stale.cache_key == plain.cache_key
         assert stale.value == plain.value
-
-    @pytest.mark.parametrize("width", [1, 4])
-    def test_stage_graph_matches_a_direct_run_at_any_pool_width(
-        self, platform, pipeline, width
-    ):
-        """The engine's thread pool width schedules stages; it never
-        changes what they compute."""
-        engine = ExperimentEngine(platform, max_workers=width)
-        graph = pipeline.as_job_graph("people", prefix="w", register=False)
-        results = engine.run(graph)
-        assert all(
-            result.state is JobState.SUCCEEDED for result in results.values()
-        ), {job: result.error for job, result in results.items()}
-        direct = pipeline.run(platform.dataset("people")).experiment
-        assert results["w:clustering"].value.pairs() == direct.pairs()
-
-    def test_job_graph_stage_order_is_dependency_driven(self, engine, pipeline):
-        graph = pipeline.as_job_graph("people", prefix="g2", register=False)
-        assert [spec.job_id for spec in graph] == [
-            "g2:prepare", "g2:candidates", "g2:similarity",
-            "g2:decision", "g2:clustering",
-        ]
-        assert graph[2].depends_on == ("g2:prepare", "g2:candidates")
 
 
 class TestBlockerJobParam:
@@ -600,22 +567,6 @@ class TestBlockerJobParam:
         assert sorted(
             (first, second) for first, second, _, _ in result.value["matches"]
         ) == sorted(tuple(match.pair) for match in direct)
-
-    def test_candidates_stage_honours_blocker(self, engine, pipeline):
-        from repro.streaming import candidate_generator_from_key
-
-        graph = pipeline.as_job_graph("people", prefix="lsh", register=False)
-        for spec in graph:
-            if spec.job_id == "lsh:candidates":
-                spec.params.update(blocker=self.LSH)
-        results = engine.run(graph)
-        assert all(
-            result.state is JobState.SUCCEEDED for result in results.values()
-        ), {k: r.error for k, r in results.items()}
-        direct = pipeline.with_blocker(
-            candidate_generator_from_key(self.LSH)
-        ).run(engine.platform.dataset("people")).experiment
-        assert results["lsh:clustering"].value.pairs() == direct.pairs()
 
     def test_malformed_blocker_fails_the_job_cleanly(self, engine, pipeline):
         result = engine.run(

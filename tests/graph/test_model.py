@@ -377,3 +377,33 @@ class TestClusterViews:
         graph = graph_of([("b", "c", 0.9), ("a", "c", 0.9)], nodes=["a", "b", "c"])
         assert graph.label_of(graph.node_of("b")) == 0
         assert graph.component_nodes() == {0: [0, 1, 2]}
+
+
+class TestTraversalMetrics:
+    """Every traversal query counts once and observes its wall time."""
+
+    QUERIES = {
+        "neighbors": lambda graph: graph.neighbors("a", k=2),
+        "path": lambda graph: graph.path("a", "c"),
+        "component_of": lambda graph: graph.component_of("b"),
+        "components": lambda graph: graph.components(),
+        "evidence_path": lambda graph: graph.evidence_path("a", "c"),
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_each_query_counts_once_and_observes_once(self, query):
+        from repro.telemetry.metrics import get_metrics
+
+        graph = graph_of([("a", "b", 0.9), ("b", "c", 0.8)], nodes=["a", "b", "c"])
+        before = get_metrics().values()
+        self.QUERIES[query](graph)
+        after = get_metrics().values()
+        for name in (
+            "frost_graph_traversals_total",
+            "frost_graph_traversal_seconds_count",
+        ):
+            assert after[name] - before[name] == 1, name
+        assert (
+            after["frost_graph_traversal_seconds_sum"]
+            >= before["frost_graph_traversal_seconds_sum"]
+        )

@@ -374,9 +374,13 @@ def test_the_comparison_is_traced(path):
     finally:
         tracer.disable()
         tracer.reset()
-    (comparison,) = root.children
+    *ordering, comparison = root.children
     assert comparison.name == SPAN_OF[path]
     assert comparison.annotations["pairs"] == len(PAIRS)
+    # the kernel path resolves and orders the pairs in a span of its own
+    assert [span.name for span in ordering] == (
+        ["comparison.order"] if path == "kernel" else []
+    )
 
 
 def test_row_loop_pairs_count_as_fallback():

@@ -100,7 +100,9 @@ def test_traced_engine_run_builds_one_coherent_tree(telemetry):
     assert cached_flags == [False, True]
     # the cached job must not re-run the pipeline
     cached_job = next(s for s in jobs if s.annotations.get("cached"))
-    assert _span_names(cached_job) == ["engine.job", "engine.cache_key"]
+    assert _span_names(cached_job) == [
+        "engine.job", "engine.cache_key", "engine.after",
+    ]
 
     # the kernel span carries the pair count it scored
     (kernels,) = [
@@ -143,8 +145,12 @@ def test_engine_work_inside_a_job_is_traced(telemetry):
         span.annotations["job"]: [child.name for child in span.children]
         for span in root.walk() if span.name == "engine.job"
     }
-    assert jobs["match"] == ["engine.cache_key", "pipeline.run", "engine.encode"]
-    assert jobs["metrics"] == ["engine.cache_key"]
+    assert jobs["match"] == [
+        "engine.cache_key", "engine.pipeline", "engine.encode", "engine.after",
+    ]
+    assert jobs["metrics"] == ["engine.cache_key", "engine.metrics"]
+    (compute,) = [span for span in root.walk() if span.name == "engine.pipeline"]
+    assert [child.name for child in compute.children] == ["pipeline.run"]
 
 
 def test_streaming_ingest_is_traced_and_counted(telemetry):
@@ -167,6 +173,12 @@ def test_streaming_ingest_is_traced_and_counted(telemetry):
 
 
 def test_disabled_tracing_leaves_no_spans_behind():
+    """Spans are still measured (a job has seconds), but no tree is kept."""
+    import http.client
+
+    from repro.server.api import FrostApi
+    from repro.server.http import FrostHttpServer
+
     tracer = get_tracer()
     tracer.reset()
     assert tracer.enabled is False
@@ -174,4 +186,16 @@ def test_disabled_tracing_leaves_no_spans_behind():
     pipeline, _ = build_pipeline_and_index(CONFIG)
     run = pipeline.run(benchmark.dataset)
     assert run.experiment is not None
+    platform = FrostPlatform()
+    platform.add_dataset(benchmark.dataset)
+    job = ExperimentEngine(platform, max_workers=1).run([JobSpec(
+        "pipeline", {"pipeline": pipeline, "dataset": benchmark.dataset.name},
+        job_id="match",
+    )])["match"]
+    assert job.seconds > 0.0
+    with FrostHttpServer(FrostApi(platform), port=0) as server:
+        connection = http.client.HTTPConnection("127.0.0.1", server.port)
+        connection.request("GET", "/healthz")
+        assert connection.getresponse().status == 200
+        connection.close()
     assert tracer.roots() == []

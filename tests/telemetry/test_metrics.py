@@ -15,7 +15,7 @@ ROUNDS = 2_000
 
 @pytest.fixture
 def registry():
-    return MetricsRegistry(enabled=True)
+    return MetricsRegistry()
 
 
 def test_counter_is_exact_under_eight_threads(registry):
@@ -64,19 +64,6 @@ def test_registration_is_get_or_create_and_type_checked(registry):
         registry.histogram("shared_total")
     assert registry.get("shared_total") is first
     assert registry.get("unknown") is None
-
-
-def test_disabled_registry_freezes_instruments(registry):
-    counter = registry.counter("frozen_total")
-    histogram = registry.histogram("frozen_seconds")
-    registry.disable()
-    counter.inc(5)
-    histogram.observe(1.0)
-    assert counter.value == 0
-    assert histogram.count == 0
-    registry.enable()
-    counter.inc(5)
-    assert counter.value == 5
 
 
 def test_reset_zeroes_values_but_keeps_handles(registry):

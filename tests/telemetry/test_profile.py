@@ -58,7 +58,6 @@ class TestSampling:
         spin(0.02)
         first = profiler.stop()
         assert profiler.stop() == first  # no thread: returns the samples
-        assert profiler.wall_seconds > 0
 
     def test_stop_annotates_the_active_span(self):
         tracer = get_tracer()

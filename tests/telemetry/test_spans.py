@@ -1,4 +1,4 @@
-"""Span tracer unit tests: nesting, propagation, disabled-mode no-ops."""
+"""Span tracer unit tests: nesting, propagation, disabled-mode linking."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.telemetry import (
     spans_to_rows,
     write_spans_jsonl,
 )
-from repro.telemetry.spans import _NULL_SPAN, Span
+from repro.telemetry.spans import Span
 
 
 @pytest.fixture
@@ -35,23 +35,44 @@ def test_nesting_follows_lexical_structure(tracer):
     assert roots[0].seconds >= roots[0].children[0].seconds >= 0.0
 
 
-def test_disabled_tracer_hands_out_the_shared_null_span():
+def test_disabled_tracer_measures_and_links_but_keeps_no_roots():
     tracer = Tracer(enabled=False)
-    assert tracer.span("anything", records=1) is _NULL_SPAN
-    with tracer.span("anything") as span:
-        span.annotate(ignored=True)  # must not raise
+    with tracer.span("outer", records=1) as outer:
+        with tracer.span("inner") as inner:
+            tracer.annotate(pairs=2)
     assert tracer.roots() == []
-    assert tracer.activate(tracer.context()) is _NULL_SPAN
-    tracer.annotate(ignored=True)  # no open span, disabled: no-op
+    assert outer.children == [inner]
+    assert inner.parent_id == outer.span_id
+    assert inner.annotations == {"pairs": 2}
+    assert outer.seconds >= inner.seconds >= 0.0
+    tracer.annotate(ignored=True)  # no open span: no-op
 
 
-def test_trace_decorator_names_span_after_function(tracer):
-    @tracer.trace()
-    def scored_function():
-        return 42
+def test_enabling_keeps_roots_from_then_on():
+    tracer = Tracer(enabled=False)
+    with tracer.span("dropped"):
+        pass
+    tracer.enable()
+    with tracer.span("kept"):
+        pass
+    assert [root.name for root in tracer.roots()] == ["kept"]
 
-    assert scored_function() == 42
-    assert tracer.roots()[0].name.endswith("scored_function")
+
+def test_closed_span_holds_no_link_to_its_parent(tracer):
+    """Finished trees are freed by reference counting, not the GC."""
+    with tracer.span("outer"):
+        with tracer.span("inner") as inner:
+            assert inner._parent is not None
+    assert inner._parent is None
+
+
+def test_activating_an_empty_context_is_a_no_op(tracer):
+    with tracer.activate(tracer.context()):
+        with tracer.span("alone"):
+            pass
+    with tracer.activate(None):
+        pass
+    assert [root.name for root in tracer.roots()] == ["alone"]
 
 
 def test_exception_annotates_and_closes_the_span(tracer):
