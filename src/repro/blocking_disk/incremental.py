@@ -12,9 +12,11 @@ hooks — so the union of deltas over any ingest split equals the batch
 candidate set, the property durable sessions and their resume path are
 built on.
 
-Only the per-record id set stays in Python memory (O(records) strings,
-needed for the duplicate-ingest guard); the O(memberships) block state
-— the part that grows with key fan-out — is on disk.
+Only the id table stays in Python memory (O(records) strings, needed
+for the duplicate-ingest guard and to translate the stored record ids
+to the index ids the emission loop works on); the O(memberships) block
+state — the part that grows with key fan-out — is on disk, as
+``(block_key, record_id)`` rows of ``blocking_keys``.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ class DiskBlockingIndex(IncrementalBlockingIndex):
             )
         )
 
-    def _members(self, key: str) -> list[str]:
+    def _members(self, key: str) -> list[int]:
+        id_of = self._id_of
         return [
-            record_id
+            id_of[record_id]
             for (record_id,) in self._store.connection.execute(
                 "SELECT record_id FROM blocking_keys "
                 "WHERE run_id = ? AND block_key = ? ORDER BY entry_id",
@@ -89,28 +92,27 @@ class DiskBlockingIndex(IncrementalBlockingIndex):
             )
         ]
 
-    def _add_member(self, key: str, record_id: str) -> None:
+    def _add_member(self, key: str, member: int) -> None:
         self._store.connection.execute(
             "INSERT INTO blocking_keys "
             "(run_id, block_key, record_id) VALUES (?, ?, ?)",
-            (self._run_id, key, record_id),
+            (self._run_id, key, self._ids[member]),
         )
 
     # -- mutation ---------------------------------------------------------------
 
     def ingest_delta(self, records: Iterable[Record]) -> DeltaIngest:
         # The inherited emission loop reads and adds members through the
-        # hooks above; their rows commit in one batch at the end (also
-        # on error, mirroring the in-memory index, which keeps earlier
-        # rows of a failed ingest too — the session layer owns
-        # rollback, via retract()).
+        # hooks above, which translate index ids to the stored record
+        # ids; their rows commit in one batch at the end (on error, after
+        # the loop's retract() has deleted them again).
         try:
             return super().ingest_delta(records)
         finally:
             self._store.connection.commit()
 
     def retract(self, delta: DeltaIngest) -> None:
-        """Undo one :meth:`ingest_delta` (durable-persist rollback).
+        """Undo one :meth:`ingest_delta` (a failed batch's rollback).
 
         A record ingests at most once, so ``(block_key, record_id)``
         identifies exactly the rows that ingest added.
@@ -124,10 +126,10 @@ class DiskBlockingIndex(IncrementalBlockingIndex):
                     for key, record_id in delta.memberships
                 ),
             )
-        self._records.difference_update(delta.record_ids)
+        self._forget(delta)
 
     def restore(self, memberships: Iterable[tuple[str, str]]) -> None:
-        if self._records:
+        if self._id_of:
             raise ValueError("restore() requires an empty index")
         rows = list(memberships)
         with self._store.connection as connection:
@@ -136,4 +138,5 @@ class DiskBlockingIndex(IncrementalBlockingIndex):
                 "VALUES (?, ?, ?)",
                 ((self._run_id, key, record_id) for key, record_id in rows),
             )
-        self._records.update(record_id for _, record_id in rows)
+        for _, record_id in rows:
+            self._intern(record_id)

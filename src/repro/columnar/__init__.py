@@ -11,7 +11,12 @@ clustering stages keep working on (:mod:`repro.columnar.batch`).  See
 README § "Columnar comparison kernels".
 """
 
-from repro.columnar.batch import PairBatch, ScoredBatch, accepted_pairs
+from repro.columnar.batch import (
+    PairBatch,
+    RowPairs,
+    ScoredBatch,
+    accepted_pairs,
+)
 from repro.columnar.compare import (
     compare_block,
     count_fallback,
@@ -29,6 +34,7 @@ __all__ = [
     "plan_for",
     "compare_block",
     "PairBatch",
+    "RowPairs",
     "ScoredBatch",
     "accepted_pairs",
     "count_fallback",

@@ -35,12 +35,13 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.experiment import DigestRows, Match, collector_paused, row_tails
-from repro.core.pairs import Pair, ScoredPair
+from repro.core.pairs import Pair, ScoredPair, make_pair
 from repro.matching.attribute_matching import SimilarityVector
 
 __all__ = [
     "ClosureLanes",
     "PairBatch",
+    "RowPairs",
     "ScoredBatch",
     "accepted_pairs",
     "closure_matches",
@@ -60,13 +61,50 @@ def store_rows(store, pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1])
 
 
+class RowPairs:
+    """Candidate pairs given as two row lanes of one columnar store.
+
+    Pair ``i`` joins the records at rows ``rows_a[i]`` and
+    ``rows_b[i]`` of ``store``, in either order.  Iterating builds the
+    canonical record-id pairs; the comparison stage scores a store's
+    own row pairs without building any
+    (:func:`repro.matching.comparison.score_candidates`).
+    """
+
+    __slots__ = ("store", "rows_a", "rows_b")
+
+    def __init__(
+        self, store, rows_a: np.ndarray, rows_b: np.ndarray
+    ) -> None:
+        self.store = store
+        self.rows_a = rows_a
+        self.rows_b = rows_b
+
+    def __len__(self) -> int:
+        return len(self.rows_a)
+
+    def __iter__(self):
+        row_ids = self.store.row_ids
+        return map(
+            make_pair,
+            map(row_ids.__getitem__, self.rows_a.tolist()),
+            map(row_ids.__getitem__, self.rows_b.tolist()),
+        )
+
+    def __repr__(self) -> str:
+        return f"RowPairs(pairs={len(self)})"
+
+
 class PairBatch(Sequence):
     """Similarity vectors of one block of candidate pairs, kept as lanes.
 
     ``pairs`` are canonical and in the order they were scored;
     ``rows_a``/``rows_b`` are the rows of each pair's first and second
     record in the store the block was scored on, and ``row_ids`` maps
-    those rows back to record ids.  Per attribute of ``attributes``
+    those rows back to record ids.  Constructed with ``pairs=None``, a
+    batch builds :attr:`pairs` from its rows on first read, and
+    :func:`accepted_pairs` builds only the accepted ones.  Per
+    attribute of ``attributes``
     (comparator order) ``lanes`` holds the ``float64`` scores and
     ``nulls`` a mask that is true where either record lacks the value;
     a null lane position holds ``0.0``.
@@ -78,13 +116,13 @@ class PairBatch(Sequence):
     """
 
     __slots__ = (
-        "pairs", "rows_a", "rows_b", "row_ids", "attributes", "lanes",
+        "_pairs", "rows_a", "rows_b", "row_ids", "attributes", "lanes",
         "nulls", "_columns",
     )
 
     def __init__(
         self,
-        pairs: Sequence[Pair],
+        pairs: Sequence[Pair] | None,
         rows_a: np.ndarray,
         rows_b: np.ndarray,
         row_ids: Sequence[str],
@@ -92,7 +130,9 @@ class PairBatch(Sequence):
         lanes: Sequence[np.ndarray],
         nulls: Sequence[np.ndarray],
     ) -> None:
-        self.pairs = pairs if isinstance(pairs, list) else list(pairs)
+        self._pairs = (
+            pairs if pairs is None or isinstance(pairs, list) else list(pairs)
+        )
         self.rows_a = rows_a
         self.rows_b = rows_b
         self.row_ids = row_ids
@@ -102,7 +142,26 @@ class PairBatch(Sequence):
         self._columns: list[list[float | None]] | None = None
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.rows_a)
+
+    @property
+    def pairs(self) -> list[Pair]:
+        """The canonical pairs, in scoring order (built once, on demand)."""
+        if self._pairs is None:
+            self._pairs = self.pairs_at(slice(None))
+        return self._pairs
+
+    def pairs_at(self, positions) -> list[Pair]:
+        """The pairs at ``positions`` (an index array or a slice)."""
+        if self._pairs is not None:
+            if isinstance(positions, slice):
+                return self._pairs[positions]
+            return [self._pairs[position] for position in positions.tolist()]
+        row_ids = self.row_ids
+        return list(zip(
+            map(row_ids.__getitem__, self.rows_a[positions].tolist()),
+            map(row_ids.__getitem__, self.rows_b[positions].tolist()),
+        ))
 
     def _python_columns(self) -> list[list[float | None]]:
         """Per-attribute Python lists with ``None`` at nulls (cached)."""
@@ -119,7 +178,7 @@ class PairBatch(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return PairBatch(
-                self.pairs[index],
+                None if self._pairs is None else self._pairs[index],
                 self.rows_a[index],
                 self.rows_b[index],
                 self.row_ids,
@@ -226,10 +285,11 @@ def accepted_pairs(scored: Sequence[ScoredPair], threshold: float) -> list[Score
     if not isinstance(scored, ScoredBatch):
         return [sp for sp in scored if sp.score >= threshold]
     index = np.flatnonzero(scored.scores >= threshold)
-    pairs = scored.batch.pairs
     return [
-        _scored_pair(score, pairs[position])
-        for position, score in zip(index.tolist(), scored.scores[index].tolist())
+        _scored_pair(score, pair)
+        for pair, score in zip(
+            scored.batch.pairs_at(index), scored.scores[index].tolist()
+        )
     ]
 
 

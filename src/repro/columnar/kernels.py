@@ -14,18 +14,23 @@ scalar counterpart in :mod:`repro.matching.similarity`:
 * the numeric kernel evaluates the scalar's relative-distance formula
   elementwise in ``float64`` — IEEE-754 basic operations are
   deterministic, so each lane equals the scalar result bit for bit;
-* edit-distance and Jaro–Winkler kernels memoize the scalar functions
-  per distinct string pair (identity by construction), with
-  Monge–Elkan additionally memoizing its *inner* token-level
-  similarity across the whole corpus vocabulary;
-* the TF-IDF cosine kernel walks precomputed sparse id-weight arrays
-  in the exact insertion order the scalar dot product uses, so even
-  the float summation order matches;
+* edit-distance and Jaro–Winkler kernels call the scalar functions
+  per distinct string pair behind a process-wide memo (identity by
+  construction), with Monge–Elkan additionally memoizing its *inner*
+  token-level similarity across the whole corpus vocabulary;
+* the TF-IDF cosine kernel calls the fitted instance per distinct
+  value pair, so even the float summation order matches;
 * any other measure runs on a generic :class:`MemoizedKernel` over the
   function itself, which scores each distinct value pair of a block
   once — identical to the row loop for the pure ``(str, str) -> float``
   functions the :data:`~repro.matching.similarity.Similarity` type
   describes.
+
+The kernels that call a Python function per value pair
+(:class:`MemoizedKernel`, :class:`TfIdfKernel`) name it as their
+:attr:`Kernel.measure`; :func:`~repro.columnar.compare_block` memoizes
+their scores on the store, so a value pair scored by an earlier block
+of the same layout is not scored again.
 
 :func:`plan_for` maps every exact
 :class:`~repro.matching.attribute_matching.AttributeComparator` onto a
@@ -57,7 +62,11 @@ from repro.matching.similarity import (
     token_jaccard,
 )
 
-__all__ = ["Kernel", "KernelPlan", "plan_for", "kernel_for"]
+__all__ = ["Kernel", "KernelPlan", "MEMO_ENTRIES", "plan_for", "kernel_for"]
+
+# Entries each score memo holds: the process-wide ``lru_cache``s below
+# and the per-layout memo of :func:`repro.columnar.compare_block`.
+MEMO_ENTRIES = 131072
 
 
 class Kernel:
@@ -67,9 +76,20 @@ class Kernel:
     non-null value ids (the deduplicated block) and returns one
     ``float64`` score per pair, bitwise equal to the scalar measure on
     the corresponding strings.
+
+    ``measure`` is the scalar function a kernel calls once per value
+    pair, or ``None`` for a vectorized kernel.  Scores of a kernel with
+    a measure are memoized on the store per measure object (and
+    :meth:`memo_version`), never per kernel name: every custom
+    measure's kernel is named ``"custom"``.
     """
 
     name = "kernel"
+    measure = None
+
+    def memo_version(self) -> object:
+        """What the measure's scores depend on besides the two values."""
+        return None
 
     def unique_scores(
         self, store: ColumnarStore, vids_a: np.ndarray, vids_b: np.ndarray
@@ -276,9 +296,9 @@ class NumericKernel(Kernel):
 # Distinct-pair memoization across stores and batches: the same two
 # strings are only ever scored once per process.  Scores come from the
 # scalar functions themselves, so identity holds by construction.
-_cached_levenshtein = lru_cache(maxsize=131072)(levenshtein)
-_cached_jaro = lru_cache(maxsize=131072)(jaro)
-_cached_jaro_winkler = lru_cache(maxsize=131072)(jaro_winkler)
+_cached_levenshtein = lru_cache(maxsize=MEMO_ENTRIES)(levenshtein)
+_cached_jaro = lru_cache(maxsize=MEMO_ENTRIES)(jaro)
+_cached_jaro_winkler = lru_cache(maxsize=MEMO_ENTRIES)(jaro_winkler)
 
 
 @lru_cache(maxsize=262144)
@@ -287,7 +307,7 @@ def _cached_inner_jaro_winkler(token_a: str, token_b: str) -> float:
     return jaro_winkler(token_a, token_b)
 
 
-@lru_cache(maxsize=131072)
+@lru_cache(maxsize=MEMO_ENTRIES)
 def _cached_monge_elkan(first: str, second: str) -> float:
     """:func:`~repro.matching.similarity.monge_elkan` with default inner.
 
@@ -314,15 +334,15 @@ def _cached_monge_elkan(first: str, second: str) -> float:
 
 
 class MemoizedKernel(Kernel):
-    """Distinct-pair memoization around a scalar measure."""
+    """A scalar measure called once per distinct value pair."""
 
     def __init__(self, name: str, function) -> None:
         self.name = name
-        self._function = function
+        self.measure = function
 
     def unique_scores(self, store, vids_a, vids_b):
         values = store.values
-        function = self._function
+        function = self.measure
         return np.fromiter(
             (
                 function(values[vid_a], values[vid_b])
@@ -333,67 +353,21 @@ class MemoizedKernel(Kernel):
         )
 
 
-class TfIdfKernel(Kernel):
-    """TF-IDF cosine over precomputed sparse id-weight arrays.
+class TfIdfKernel(MemoizedKernel):
+    """TF-IDF cosine: one fitted instance, called per distinct value pair.
 
     Bound to one fitted :class:`~repro.matching.similarity.TfIdfCosine`
-    instance.  Per distinct value the kernel materializes the
-    instance's TF-IDF vector once as parallel (token, weight) arrays in
-    *insertion order* plus a lookup dict; the per-pair dot product then
-    walks the left arrays in that same order, so the float summation
-    matches the scalar :func:`~repro.matching.similarity.ordered_sum`
-    addition for addition.
+    instance, whose own vector cache serves every value once per corpus
+    state.  Scores change when the instance's corpus grows, so its
+    document count is part of the score memo's key
+    (:meth:`memo_version`).
     """
 
-    name = "tfidf_cosine"
-
     def __init__(self, measure: TfIdfCosine) -> None:
-        self.measure = measure
-        # value -> (tokens tuple, weights tuple, norm, weight dict)
-        self._sparse: dict[str, tuple] = {}
-        self._memo: dict[tuple[int, int], float] = {}
+        super().__init__("tfidf_cosine", measure)
 
-    def _vector(self, value: str):
-        cached = self._sparse.get(value)
-        if cached is None:
-            vector, norm = self.measure._cached_vector(value)
-            cached = (
-                tuple(vector.keys()),
-                tuple(vector.values()),
-                norm,
-                vector,
-            )
-            self._sparse[value] = cached
-        return cached
-
-    def _score(self, first: str, second: str) -> float:
-        tokens_a, weights_a, norm_a, _ = self._vector(first)
-        _, _, norm_b, vector_b = self._vector(second)
-        if not tokens_a and not vector_b:
-            return 1.0
-        if norm_a == 0.0 or norm_b == 0.0:
-            return 0.0
-        lookup = vector_b.get
-        dot = ordered_sum(
-            weight * lookup(token, 0.0)
-            for token, weight in zip(tokens_a, weights_a)
-        )
-        return min(1.0, dot / (norm_a * norm_b))
-
-    def unique_scores(self, store, vids_a, vids_b):
-        values = store.values
-        memo = self._memo
-        out = np.empty(len(vids_a), dtype=np.float64)
-        for position, (vid_a, vid_b) in enumerate(
-            zip(vids_a.tolist(), vids_b.tolist())
-        ):
-            key = (vid_a, vid_b)
-            score = memo.get(key)
-            if score is None:
-                score = self._score(values[vid_a], values[vid_b])
-                memo[key] = score
-            out[position] = score
-        return out
+    def memo_version(self) -> object:
+        return self.measure._documents
 
 
 # -- planning ----------------------------------------------------------------

@@ -23,6 +23,9 @@ for new record ids and interns only values the pool lacks, and every
 derived array covers a prefix of the pool (or of the rows) that its
 accessor extends over whatever was added since.  Building a store is
 extending an empty one, so one code path derives each value once.
+Because value ids never change, the comparison stage's per-measure
+score memo (``score_memo``, see :mod:`repro.columnar.compare`) stays
+valid across extensions too.
 
 Because interning is exact (case-sensitive, byte-for-byte), value-id
 equality is string equality, and every derivation equals what the
@@ -91,6 +94,9 @@ class ColumnarStore:
         self._vid_of: dict[str, int] = {
             value: vid for vid, value in enumerate(self._values) if vid
         }
+        # id(measure) -> (measure, version, sorted packed vid-pair keys,
+        # scores); owned by repro.columnar.compare
+        self.score_memo: dict[int, tuple] = {}
         self._reset_derived()
 
     def _reset_derived(self) -> None:
@@ -108,8 +114,10 @@ class ColumnarStore:
         )
         self._soundex = np.empty(0, dtype=np.int32)
         self._soundex_ids: dict[str, int] = {"0000": 0}
-        self._ranks = np.empty(0, dtype=np.int64)
-        self._sorted_ids: list[str] = []
+        # (ranks, record ids in sorted order), replaced as one tuple
+        self._rank_state: tuple[np.ndarray, list[str]] = (
+            np.empty(0, dtype=np.int64), []
+        )
 
     # -- construction -------------------------------------------------------
 
@@ -328,22 +336,23 @@ class ColumnarStore:
         exactly as :func:`sorted` orders their id tuples.  Rows added by
         :meth:`extend` are sorted among themselves and merged into the
         existing order; older rows shift by the new ids sorting before
-        them.
+        them.  The state is read once and replaced in one assignment,
+        so threads scoring one store may both extend it, never tear it.
         """
-        covered = len(self._ranks)
-        if covered < len(self.row_ids):
-            row_ids = self.row_ids
+        ranks, old = self._rank_state
+        row_ids = self.row_ids
+        covered = len(ranks)
+        if covered < len(row_ids):
             rows = sorted(range(covered, len(row_ids)), key=row_ids.__getitem__)
             added = [row_ids[row] for row in rows]
-            old = self._sorted_ids
             points = np.fromiter(
                 (bisect_left(old, record_id) for record_id in added),
                 dtype=np.int64,
                 count=len(added),
             )
-            ranks = np.empty(len(row_ids), dtype=np.int64)
-            ranks[:covered] = self._ranks + np.searchsorted(
-                points, self._ranks, side="right"
+            older, ranks = ranks, np.empty(len(row_ids), dtype=np.int64)
+            ranks[:covered] = older + np.searchsorted(
+                points, older, side="right"
             )
             ranks[rows] = points + np.arange(len(added), dtype=np.int64)
             merged: list[str] = []
@@ -353,8 +362,8 @@ class ColumnarStore:
                 merged.append(record_id)
                 start = point
             merged.extend(old[start:])
-            self._ranks, self._sorted_ids = ranks, merged
-        return self._ranks
+            self._rank_state = (ranks, merged)
+        return ranks
 
     def __repr__(self) -> str:
         return (

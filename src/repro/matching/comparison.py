@@ -8,11 +8,17 @@ Processing for Graph DBMSs* (PAPERS.md):
 
 * each pair's two ids are looked up as store rows once, and pairs
   whose records were deleted between blocking and scoring are dropped;
-* the rest are ordered by the rows' integer ranks in sorted record-id
+  candidates that already are rows of the store
+  (:class:`~repro.columnar.RowPairs`, a streaming session's delta) skip
+  the lookup and are oriented so the smaller record id comes first;
+* the rows are ordered by their integer ranks in sorted record-id
   order (:meth:`~repro.columnar.ColumnarStore.id_ranks`), which is
-  exactly the order :func:`sorted` gives the id tuples;
-* the batch kernels score every distinct value pair once, into one
-  :class:`~repro.columnar.PairBatch` of score lanes.
+  exactly the order :func:`sorted` gives the id tuples — one ordering
+  function for both inputs, :func:`_rank_order`;
+* the batch kernels score every distinct value pair once, or not at
+  all when the store's score memo holds it, into one
+  :class:`~repro.columnar.PairBatch` of score lanes whose string pairs
+  are built from the rows only when read.
 
 Comparators the kernels cannot plan (subclasses and duck-typed
 objects, see :func:`repro.columnar.plan_for`) are scored by the serial
@@ -28,6 +34,7 @@ import numpy as np
 
 from repro.columnar import (
     ColumnarStore,
+    RowPairs,
     compare_block,
     count_fallback,
     count_store_build,
@@ -87,15 +94,14 @@ def resolve_candidates(
 
 def _store_order(
     store: ColumnarStore, candidates: Sequence[Pair]
-) -> tuple[list[Pair], tuple[np.ndarray, np.ndarray], list[str]]:
-    """Candidates in sorted order with their store rows, plus missing ids.
+) -> tuple[tuple[np.ndarray, np.ndarray], list[str]]:
+    """Store rows of the candidates in sorted order, plus missing ids.
 
     Looks both ids of every pair up in ``store.row_index`` in one pass;
     ids the store lacks are the missing records, and their pairs are
-    dropped.  The rest are ordered by their rows' ``(rank, rank)``
-    integers, which orders them exactly like ``sorted(candidates)`` —
-    duplicates and non-canonical pairs included — without comparing a
-    single string.
+    dropped.  The rest are ordered by :func:`_rank_order`, exactly like
+    ``sorted(candidates)`` — duplicates and non-canonical pairs
+    included — without comparing a single string.
     """
     rows = np.fromiter(
         map(store.row_index.get, chain.from_iterable(candidates), repeat(-1)),
@@ -104,22 +110,41 @@ def _store_order(
     ).reshape(-1, 2)
     absent = rows < 0
     missing: list[str] = []
-    kept = np.arange(len(candidates))
     if absent.any():
         positions, sides = np.nonzero(absent)
         missing = sorted({
             candidates[position][side]
             for position, side in zip(positions.tolist(), sides.tolist())
         })
-        kept = np.flatnonzero(~absent.any(axis=1))
-        rows = rows[kept]
+        rows = rows[~absent.any(axis=1)]
+    return _rank_order(store, rows[:, 0], rows[:, 1]), missing
+
+
+def _rank_order(
+    store: ColumnarStore,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+    orient: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs ordered by their rows' ``(rank, rank)`` integers.
+
+    Ranks are positions in sorted record-id order, so this is the order
+    :func:`sorted` gives the id tuples (stable, so equal pairs keep
+    their input order).  With ``orient`` each pair is first turned so
+    its lower-ranked row — the smaller record id — comes first, which
+    makes every pair canonical.
+    """
     ranks = store.id_ranks()
-    order = np.argsort(
-        ranks[rows[:, 0]] * len(ranks) + ranks[rows[:, 1]], kind="stable"
-    )
-    ordered = [candidates[position] for position in kept[order].tolist()]
-    rows = rows[order]
-    return ordered, (rows[:, 0].copy(), rows[:, 1].copy()), missing
+    rank_a = ranks[rows_a]
+    rank_b = ranks[rows_b]
+    if orient:
+        swap = rank_a > rank_b
+        rows_a, rows_b = (
+            np.where(swap, rows_b, rows_a), np.where(swap, rows_a, rows_b)
+        )
+        rank_a, rank_b = np.minimum(rank_a, rank_b), np.maximum(rank_a, rank_b)
+    order = np.argsort(rank_a * len(ranks) + rank_b, kind="stable")
+    return rows_a[order], rows_b[order]
 
 
 def _candidate_store(
@@ -163,9 +188,10 @@ def score_candidates(
     streaming session), so the comparison pass skips interning.  Its
     rows resolve the pairs: an id it lacks is a missing record.  It is
     used when it covers the comparator's attributes; otherwise, and
-    without one, a store is built over the candidates' records.  Scores
-    never depend on the store — kernels read interned *values*, not
-    row positions.
+    without one, a store is built over the candidates' records.
+    :class:`~repro.columnar.RowPairs` of that same store are scored on
+    their rows without building a string.  Scores never depend on the
+    store — kernels read interned *values*, not row positions.
     """
     plan = plan_for(comparator)
     if plan is None:
@@ -175,15 +201,23 @@ def score_candidates(
         with _tracing.span("comparison.serial", pairs=len(ordered)):
             return compare_pairs(resolved, ordered, comparator), missing
     with _tracing.span("comparison.order") as order_span:
-        candidates = (
-            candidates if isinstance(candidates, (list, tuple))
-            else list(candidates)
-        )
-        if store is None or any(
+        if store is not None and any(
             attribute not in store.attributes for attribute in plan.attributes
         ):
-            store = _candidate_store(records, candidates, plan.attributes)
-        ordered, rows, missing = _store_order(store, candidates)
-        order_span.annotate(pairs=len(ordered))
-    _PAIRS_COMPARED.inc(len(ordered))
-    return compare_block(store, ordered, plan, rows), missing
+            store = None
+        if isinstance(candidates, RowPairs) and candidates.store is store:
+            rows = _rank_order(
+                store, candidates.rows_a, candidates.rows_b, orient=True
+            )
+            missing: list[str] = []
+        else:
+            candidates = (
+                candidates if isinstance(candidates, (list, tuple))
+                else list(candidates)
+            )
+            if store is None:
+                store = _candidate_store(records, candidates, plan.attributes)
+            rows, missing = _store_order(store, candidates)
+        order_span.annotate(pairs=len(rows[0]))
+    _PAIRS_COMPARED.inc(len(rows[0]))
+    return compare_block(store, None, plan, rows), missing

@@ -16,6 +16,13 @@ The same decomposition covers approximate blocking:
 (a new record joins buckets, never reshuffles them), so the exact
 delta/batch equivalence holds for LSH too.
 
+Blocks hold dense integer *index ids*, not record-id strings: a
+delta is built as two ``int64`` lanes (:class:`DeltaIngest`), which a
+streaming session maps to its layout rows and scores without building
+a string pair — the dense-id, list-based processing of *Columnar
+Storage and List-based Processing for Graph DBMSs* (PAPERS.md).  The
+sorted canonical string pairs are built only when read.
+
 The sorted-neighborhood method (and any windowed blocker) is
 deliberately *not* supported — its windowed candidates depend on the
 global sort order, so a new record can both add and remove pairs,
@@ -28,6 +35,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.core.pairs import Pair, make_pair
 from repro.core.records import Record
@@ -45,20 +55,45 @@ __all__ = [
 
 KeyEmitter = Callable[[Record], Sequence[str]]
 
+_LOW_BITS = np.int64(0xFFFFFFFF)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class DeltaIngest:
     """What one index ingest produced.
 
-    ``pairs`` are the sorted delta candidate pairs; ``memberships`` the
+    The delta candidate pairs are two ``int64`` lanes of *index ids*:
+    pair ``i`` joins ``ids[firsts[i]]`` and ``ids[seconds[i]]``, with
+    ``firsts[i] < seconds[i]``, each pair once, ordered by
+    ``(first, second)`` id (arrival order, not record-id order).
+
+    ``ids`` is the index's id table (index id → record id, in the order
+    the index first saw each record), shared with the index and only
+    ever appended to while the delta stands.  ``memberships`` are the
     ``(block_key, record_id)`` rows this ingest added — exactly what a
     durable session must persist (and retract on a failed persist),
-    without rescanning the whole index.
+    without rescanning the whole index — and ``record_ids`` the
+    ingested ids in batch order.
+
+    :attr:`pairs` builds the sorted canonical record-id pairs from the
+    lanes on first read; code that only scores or counts the delta
+    never builds them.
     """
 
-    pairs: list[Pair]
+    ids: Sequence[str]
+    firsts: np.ndarray
+    seconds: np.ndarray
     memberships: list[tuple[str, str]]
     record_ids: list[str]
+
+    @cached_property
+    def pairs(self) -> list[Pair]:
+        """The delta candidate pairs, canonical and sorted."""
+        ids = self.ids
+        return sorted(
+            make_pair(ids[first], ids[second])
+            for first, second in zip(self.firsts.tolist(), self.seconds.tolist())
+        )
 
 
 def single_key(key: BlockingKey) -> KeyEmitter:
@@ -105,6 +140,11 @@ def token_keys(
 class IncrementalBlockingIndex:
     """Live block index that emits only delta candidate pairs on ingest.
 
+    Record ids are interned to dense *index ids* in the order the index
+    first sees them (:attr:`ids`), and blocks hold those integers, so a
+    delta is built as integer lanes (:class:`DeltaIngest`) and the
+    string pairs exist only where something reads them.
+
     Parameters
     ----------
     keys_for:
@@ -129,16 +169,22 @@ class IncrementalBlockingIndex:
             )
         self._keys_for = keys_for
         self.max_block_size = max_block_size
-        self._blocks: dict[str, list[str]] = {}
-        self._records: set[str] = set()
+        self._blocks: dict[str, list[int]] = {}
+        self._ids: list[str] = []
+        self._id_of: dict[str, int] = {}
 
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._id_of)
 
     def __contains__(self, record_id: object) -> bool:
-        return record_id in self._records
+        return record_id in self._id_of
+
+    @property
+    def ids(self) -> Sequence[str]:
+        """The id table: index id → record id (read-only)."""
+        return self._ids
 
     @property
     def block_count(self) -> int:
@@ -147,10 +193,11 @@ class IncrementalBlockingIndex:
 
     def block_items(self) -> list[tuple[str, str]]:
         """All ``(block_key, record_id)`` memberships, sorted (durable form)."""
+        ids = self._ids
         return sorted(
-            (key, record_id)
+            (key, ids[member])
             for key, members in self._blocks.items()
-            for record_id in members
+            for member in members
         )
 
     # -- mutation ---------------------------------------------------------------
@@ -166,71 +213,126 @@ class IncrementalBlockingIndex:
         return self.ingest_delta(records).pairs
 
     def ingest_delta(self, records: Iterable[Record]) -> DeltaIngest:
-        """Like :meth:`ingest`, also reporting the added memberships."""
-        emitted: set[Pair] = set()
+        """Like :meth:`ingest`, returning the delta as id lanes.
+
+        Each touched block contributes its members × the new record;
+        one ``np.unique`` over packed ``first << 32 | second`` keys
+        de-duplicates pairs that share several blocks.  An exception
+        (a duplicate id, a failing key emitter or member hook) undoes
+        this call's memberships before it propagates.
+        """
+        ids = self._ids
+        id_of = self._id_of
+        cap = self.max_block_size
+        members_lane: list[int] = []
+        emitters: list[int] = []
+        counts: list[int] = []
         memberships: list[tuple[str, str]] = []
         record_ids: list[str] = []
-        for record in records:
-            record_id = record.record_id
-            if record_id in self._records:
-                raise ValueError(
-                    f"record {record_id!r} is already indexed"
-                )
-            self._records.add(record_id)
-            record_ids.append(record_id)
-            for key in self._keys_for(record):
-                members = self._members(key)
-                if (
-                    self.max_block_size is None
-                    or len(members) < self.max_block_size
-                ):
-                    emitted.update(
-                        make_pair(member, record_id) for member in members
+        try:
+            for record in records:
+                record_id = record.record_id
+                if record_id in id_of:
+                    raise ValueError(
+                        f"record {record_id!r} is already indexed"
                     )
-                self._add_member(key, record_id)
-                memberships.append((key, record_id))
+                new = len(ids)
+                id_of[record_id] = new
+                ids.append(record_id)
+                record_ids.append(record_id)
+                for key in self._keys_for(record):
+                    members = self._members(key)
+                    if members and (cap is None or len(members) < cap):
+                        if members[-1] == new:  # the key was emitted twice
+                            make_pair(record_id, record_id)  # raises
+                        members_lane.extend(members)
+                        emitters.append(new)
+                        counts.append(len(members))
+                    self._add_member(key, new)
+                    memberships.append((key, record_id))
+        except BaseException:
+            self.retract(
+                DeltaIngest(ids, _NO_IDS, _NO_IDS, memberships, record_ids)
+            )
+            raise
+        keys = np.unique(
+            (np.array(members_lane, dtype=np.int64) << 32)
+            | np.repeat(np.array(emitters, dtype=np.int64), counts)
+        )
         return DeltaIngest(
-            pairs=sorted(emitted),
+            ids=ids,
+            firsts=keys >> 32,
+            seconds=keys & _LOW_BITS,
             memberships=memberships,
             record_ids=record_ids,
         )
 
-    def _members(self, key: str) -> Sequence[str]:
-        """The records of block ``key``, in arrival order."""
+    def _members(self, key: str) -> Sequence[int]:
+        """The index ids of block ``key``, in arrival order."""
         return self._blocks.get(key, ())
 
-    def _add_member(self, key: str, record_id: str) -> None:
-        """Append ``record_id`` to block ``key``."""
-        self._blocks.setdefault(key, []).append(record_id)
+    def _add_member(self, key: str, member: int) -> None:
+        """Append index id ``member`` to block ``key``."""
+        self._blocks.setdefault(key, []).append(member)
+
+    def _intern(self, record_id: str) -> int:
+        """The index id of ``record_id``, assigning the next one if new."""
+        member = self._id_of.get(record_id)
+        if member is None:
+            member = self._id_of[record_id] = len(self._ids)
+            self._ids.append(record_id)
+        return member
+
+    def _forget(self, delta: DeltaIngest) -> None:
+        """Drop the ids of a retracted ingest from the id table.
+
+        The delta's pairs are built first, while its ids still name its
+        records; the table then sheds the ids at its tail that no
+        longer index a record, so the next ingest reuses them.
+        """
+        delta.pairs
+        id_of = self._id_of
+        for record_id in delta.record_ids:
+            id_of.pop(record_id, None)
+        ids = self._ids
+        while ids and id_of.get(ids[-1]) != len(ids) - 1:
+            ids.pop()
 
     def retract(self, delta: DeltaIngest) -> None:
-        """Undo one :meth:`ingest_delta` (used when durable persistence
-        fails and the session must roll back to its pre-batch state).
+        """Undo one :meth:`ingest_delta` (used when scoring or durable
+        persistence of the batch fails and the session must roll back
+        to its pre-batch state).
 
         Only the *latest* ingest may be retracted — memberships were
         appended, so they sit at the tail of their block lists.
         """
+        id_of = self._id_of
         for key, record_id in reversed(delta.memberships):
+            member = id_of[record_id]
             members = self._blocks.get(key)
-            if members and members[-1] == record_id:
+            if members and members[-1] == member:
                 members.pop()
             elif members is not None:  # defensive: not the latest ingest
-                members.remove(record_id)
+                members.remove(member)
             if not members and members is not None:
                 del self._blocks[key]
-        self._records.difference_update(delta.record_ids)
+        self._forget(delta)
 
     def restore(self, memberships: Iterable[tuple[str, str]]) -> None:
         """Rebuild the index from persisted ``(block_key, record_id)`` rows.
 
         Used when resuming a durable session; emits nothing.  Must be
-        called on an empty index.
+        called on an empty index.  Ids are interned in row order, so a
+        restored index's ids follow the rows, not the original arrival
+        order, and records without a membership get none.
         """
-        if self._records:
+        if self._id_of:
             raise ValueError("restore() requires an empty index")
         for key, record_id in memberships:
-            self._blocks.setdefault(key, []).append(record_id)
-            self._records.add(record_id)
+            self._blocks.setdefault(key, []).append(self._intern(record_id))
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 class IncrementalLshIndex(IncrementalBlockingIndex):

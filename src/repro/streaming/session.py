@@ -17,14 +17,20 @@ Each session owns one append-only columnar layout
 (:class:`~repro.columnar.ColumnarStore`) whose rows are its numeric ids:
 built on the first ingest (or adopted from the resumed records'
 prepared dataset), extended by every batch, and scored against by the
-comparison stage, so a batch interns only its own records.
+comparison stage, so a batch interns only its own records.  The delta
+reaches the comparison stage as integers end to end: the index emits
+index-id lanes, one ``int64`` array maps index ids to layout rows
+(the two differ after a resume), and the stage orders and scores those
+rows (:class:`~repro.columnar.RowPairs`); record-id strings are built
+only for accepted pairs, or wherever a consumer reads the pairs.
 
 Sessions are optionally durable: given a
 :class:`~repro.storage.database.FrostStore`, every ingest persists the
 new records, their block memberships, the accepted-match merge log, and
 the snapshot lineage in one transaction, and
 :meth:`StreamingMatcher.resume` rebuilds the live session from those
-tables.
+tables.  An exception while scoring, deciding or persisting a batch
+leaves the live session exactly as it was before the batch.
 """
 
 from __future__ import annotations
@@ -34,9 +40,12 @@ import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.columnar import (
     ColumnarStore,
     KernelPlan,
+    RowPairs,
     count_store_build,
     plan_for,
 )
@@ -48,7 +57,7 @@ from repro.core.records import Dataset, Record
 from repro.core.unionfind import PairCountingUnionFind
 from repro.matching.attribute_matching import SimilarityVector
 from repro.matching.pipeline import MatchingPipeline
-from repro.streaming.delta_blocking import IncrementalBlockingIndex
+from repro.streaming.delta_blocking import DeltaIngest, IncrementalBlockingIndex
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import get_tracer
 
@@ -209,6 +218,9 @@ class StreamingMatcher:
         # Columnar layout of the prepared records, rows = numeric ids;
         # None until the first ingest or after a rolled-back one.
         self._layout: ColumnarStore | None = None
+        # index id -> numeric id (= layout row), one entry per id in
+        # the index's id table
+        self._index_rows = np.empty(0, dtype=np.int64)
         self._graph = None
         self._lock = threading.Lock()
         if store is not None and not _resuming:
@@ -389,69 +401,77 @@ class StreamingMatcher:
             batch_dataset = Dataset(batch, name=f"{self.name}-batch{version}")
             prepared = self.pipeline.prepare(batch_dataset)
 
-            # A durable ingest must leave the live session untouched when
-            # the store rejects the batch (e.g. another process appended
-            # the same version concurrently) — keep what is needed to roll
-            # every in-memory mutation back.
-            unionfind_backup = (
-                self._unionfind.copy() if self._store is not None else None
-            )
-
-            new_numeric = self._unionfind.grow(len(batch))
+            first = len(self._native)
+            new_numeric = range(first, first + len(batch))
             for numeric_id, raw, clean in zip(new_numeric, batch, prepared):
                 self._numeric[raw.record_id] = numeric_id
                 self._native.append(raw.record_id)
                 self._raw[raw.record_id] = raw
                 self._prepared[raw.record_id] = clean
 
-        plan = plan_for(self.pipeline.comparator)
-        if plan is not None:
-            with get_tracer().span("stream.layout", records=len(batch)):
-                self._extend_layout(prepared, plan)
+        # Everything from here on is undone if it raises, so a failed
+        # scoring, decision or persist leaves the session as it was.
+        index_rows = self._index_rows
+        accepted_before = len(self._accepted)
+        delta = unionfind_backup = None
+        try:
+            plan = plan_for(self.pipeline.comparator)
+            if plan is not None:
+                with get_tracer().span("stream.layout", records=len(batch)):
+                    self._extend_layout(prepared, plan)
 
-        # Steps 2-4 on the delta only.
-        with get_tracer().span("stream.delta_index", records=len(batch)):
-            delta = self.index.ingest_delta(prepared)
-        vectors = self.pipeline.compare_candidates(
-            _PreparedView(self._prepared, self._layout), delta.pairs
-        )
-        scored = self.pipeline.score_vectors(vectors)
-
-        # Step 5, incrementally: fold accepted matches into the
-        # persistent union-find (connected components maintenance).
-        with get_tracer().span("stream.clustering", scored=len(scored)):
-            accepted = accepted_pairs(scored, self.pipeline.threshold)
-            self._unionfind.tracked_union(
-                (self._numeric[sp.pair[0]], self._numeric[sp.pair[1]])
-                for sp in accepted
+            # Steps 2-4 on the delta only.
+            with get_tracer().span("stream.delta_index", records=len(batch)):
+                delta = self.index.ingest_delta(prepared)
+                candidates = self._delta_candidates(delta)
+            vectors = self.pipeline.compare_candidates(
+                _PreparedView(self._prepared, self._layout), candidates
             )
-        self._accepted.extend(accepted)
+            scored = self.pipeline.score_vectors(vectors)
 
-        snapshot = StreamSnapshot(
-            version=version,
-            parent_version=version - 1 if version > 1 else None,
-            record_count=len(self._native),
-            cluster_count=self._unionfind.cluster_count,
-            pair_count=self._unionfind.pair_count,
-            delta_candidates=len(delta.pairs),
-            accepted_matches=len(accepted),
-        )
-        if self._store is not None:
-            try:
+            # Step 5, incrementally: fold accepted matches into the
+            # persistent union-find (connected components maintenance),
+            # which grows only now that scoring has succeeded.
+            with get_tracer().span("stream.clustering", scored=len(scored)):
+                accepted = accepted_pairs(scored, self.pipeline.threshold)
+                edges = [
+                    (self._numeric[sp.pair[0]], self._numeric[sp.pair[1]])
+                    for sp in accepted
+                ]
+                if self._store is not None:
+                    # a failed persist must roll the merges back too
+                    unionfind_backup = self._unionfind.copy()
+                self._unionfind.grow(len(batch))
+                self._unionfind.tracked_union(edges)
+            self._accepted.extend(accepted)
+
+            snapshot = StreamSnapshot(
+                version=version,
+                parent_version=version - 1 if version > 1 else None,
+                record_count=len(self._native),
+                cluster_count=self._unionfind.cluster_count,
+                pair_count=self._unionfind.pair_count,
+                delta_candidates=len(delta.firsts),
+                accepted_matches=len(accepted),
+            )
+            if self._store is not None:
                 with get_tracer().span("stream.persist", records=len(batch)):
                     self._persist_batch(batch, delta.memberships, accepted,
                                         snapshot)
-            except BaseException:
-                self._layout = None
-                self._unionfind = unionfind_backup
+        except BaseException:
+            self._layout = None
+            self._index_rows = index_rows
+            if delta is not None:
                 self.index.retract(delta)
-                del self._accepted[len(self._accepted) - len(accepted):]
-                for record in batch:
-                    del self._numeric[record.record_id]
-                    del self._raw[record.record_id]
-                    del self._prepared[record.record_id]
-                del self._native[len(self._native) - len(batch):]
-                raise
+            if unionfind_backup is not None:
+                self._unionfind = unionfind_backup
+            del self._accepted[accepted_before:]
+            for record in batch:
+                del self._numeric[record.record_id]
+                del self._raw[record.record_id]
+                del self._prepared[record.record_id]
+            del self._native[first:]
+            raise
         if self._graph is not None:
             # After the stream batch is durable: the graph delta is a
             # second transaction, so a failure here leaves the graph
@@ -465,6 +485,31 @@ class StreamingMatcher:
             )
         self._snapshots.append(snapshot)
         return snapshot
+
+    def _delta_candidates(self, delta: DeltaIngest):
+        """The delta's pairs as layout rows, or as strings without a layout.
+
+        Extends the index-id → row map by the ids the index added, then
+        maps both lanes through it in two array lookups.
+        """
+        added = delta.ids[len(self._index_rows):]
+        if added:
+            numeric = self._numeric
+            self._index_rows = np.concatenate((
+                self._index_rows,
+                np.fromiter(
+                    map(numeric.__getitem__, added),
+                    dtype=np.int64,
+                    count=len(added),
+                ),
+            ))
+        if self._layout is None:
+            return delta.pairs
+        return RowPairs(
+            self._layout,
+            self._index_rows[delta.firsts],
+            self._index_rows[delta.seconds],
+        )
 
     def _extend_layout(self, prepared: Dataset, plan: KernelPlan) -> None:
         """Append the prepared batch to the layout, building it if absent.
@@ -559,6 +604,13 @@ class StreamingMatcher:
         index.restore(
             (key, session._native[numeric_id])
             for key, numeric_id in state["blocks"]
+        )
+        # restore() interned the ids in block-key order, and records
+        # without a key have none: map its table to numeric ids
+        session._index_rows = np.fromiter(
+            map(session._numeric.__getitem__, index.ids),
+            dtype=np.int64,
+            count=len(index.ids),
         )
         for batch_index, first, second, score in state["merges"]:
             session._unionfind.union(first, second)

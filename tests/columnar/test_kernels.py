@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.columnar import ColumnarStore, compare_block, kernel_for, plan_for
+from repro.columnar import (
+    ColumnarStore,
+    KernelPlan,
+    compare_block,
+    kernel_for,
+    plan_for,
+)
 from repro.columnar.kernels import (
     ExactKernel,
     MemoizedKernel,
@@ -95,12 +101,24 @@ def test_tfidf_kernel_scores_identically():
 
 
 def test_tfidf_kernel_memoizes_distinct_pairs():
+    """TF-IDF scores are memoized on the store, per fitted instance and
+    corpus size: a grown corpus shifts the weights, so it misses."""
     tfidf = TfIdfCosine(VALUES)
-    kernel = TfIdfKernel(tfidf)
     store = store_of(VALUES)
-    vids = np.array([1, 2, 1, 2, 1, 2], dtype=np.int64)
-    kernel.unique_scores(store, vids, vids[::-1])
-    assert (1, 2) in kernel._memo
+    plan = KernelPlan(("a",), (TfIdfKernel(tfidf),))
+    pairs = [("r0", "r1"), ("r0", "r1"), ("r0", "r2")]
+    compare_block(store, pairs, plan)
+    measure, version, keys, _ = store.score_memo[id(tfidf)]
+    assert measure is tfidf and version == len(VALUES)
+    assert keys.tolist() == [1 << 32 | 2, 1 << 32 | 3]
+
+    tfidf.add("alice")
+    vectors = compare_block(store, pairs, plan)
+    assert store.score_memo[id(tfidf)][1] == len(VALUES) + 1
+    for (first, second), vector in zip(pairs, vectors):
+        assert vector.values["a"] == tfidf(
+            store.record(first).value("a"), store.record(second).value("a")
+        )
 
 
 class TestKernelFor:

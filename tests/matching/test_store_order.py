@@ -12,8 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import ColumnarStore
+from repro.columnar import ColumnarStore, RowPairs
 from repro.columnar.batch import store_rows
+from repro.core.pairs import make_pair
 from repro.core.records import Record
 from repro.matching.attribute_matching import AttributeComparator
 from repro.matching.comparison import (
@@ -58,7 +59,11 @@ def test_rank_order_equals_sorted_candidates(scenario):
     store = grown_store(known, cuts)
     records = {rid: store.record(rid) for rid in known}
 
-    ordered, (rows_a, rows_b), missing = _store_order(store, candidates)
+    (rows_a, rows_b), missing = _store_order(store, candidates)
+    ordered = [
+        (store.row_ids[row_a], store.row_ids[row_b])
+        for row_a, row_b in zip(rows_a.tolist(), rows_b.tolist())
+    ]
 
     expected, _, expected_missing = resolve_candidates(records, candidates)
     assert ordered == expected
@@ -82,6 +87,30 @@ def test_compared_pairs_come_back_in_sorted_order(scenario):
         )
         assert [vector.pair for vector in vectors] == expected
         assert missing == expected_missing
+
+
+@given(scenarios())
+@settings(max_examples=80, deadline=None)
+def test_row_pairs_come_back_canonical_in_sorted_order(scenario):
+    """Candidates given as the store's own rows, in either orientation,
+    score like the sorted canonical pairs they name."""
+    known, candidates, cuts = scenario
+    store = grown_store(known, cuts)
+    records = {rid: store.record(rid) for rid in known}
+    named = [
+        pair for pair in candidates
+        if pair[0] != pair[1] and pair[0] in store and pair[1] in store
+    ]
+    rows_a, rows_b = store_rows(store, named)
+    comparator = AttributeComparator({"name": "jaro_winkler"})
+    vectors, missing = score_candidates(
+        records, RowPairs(store, rows_a, rows_b), comparator, store=store
+    )
+    expected = sorted(make_pair(*pair) for pair in named)
+    assert vectors.pairs == expected
+    assert missing == []
+    reference, _ = score_candidates(records, expected, comparator)
+    assert vectors == reference
 
 
 def test_batch_keeps_resolved_rows():
