@@ -6,10 +6,10 @@ plus the full candidate set in Python memory — RAM bounds the corpus.
 indexed SQLite tables and runs the pair join inside the storage engine,
 streamed back in bounded chunks.  The claims under test:
 
-1. **identity** — the disk path's candidate set is *set-identical* to
-   the in-memory blocker, across blocker families, asserted in every
-   mode (this is the CI gate: the ``blocking_storage`` knob must never
-   change pipeline output);
+1. **identity** — the library's candidate set is *set-identical* to
+   the in-memory blocker's, across blocker families, asserted in every
+   mode (this is the CI gate: the disk library must never return other
+   candidates than the in-memory blockers it stands in for);
 2. **bounded memory** — a generated 1M-record person corpus blocks
    end-to-end (spill + join + chunked count) with peak RSS **< 1 GB**,
    because the corpus is generated and spilled in batches, the join's

@@ -19,6 +19,13 @@ never compared: a smoke run regressing against a full run is noise.
 ``BENCH_*.json`` against the committed versions (``git show HEAD:...``)
 and prints one consolidated report — the CI trajectory step.
 
+Counters that are exact functions of a benchmark's seeded inputs
+(candidate pairs, rows spilled) are not noise, so they get a gate
+instead of a tolerance: each counter :data:`EXACT_COUNTERS` names must
+equal the committed point of the same context, and any difference makes
+the report exit 1, enforcing or not.  A change in what a stage emits
+then fails CI even when every timing is within tolerance.
+
 Environment knobs:
 
 ``REPRO_TRAJECTORY_DIR``
@@ -40,17 +47,25 @@ import resource
 import subprocess
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 __all__ = [
+    "EXACT_COUNTERS",
     "REGRESSION_TOLERANCE",
     "emit_trajectory",
     "compare_trajectories",
+    "counter_drift",
     "peak_rss_mb",
     "percentile",
 ]
 
 REGRESSION_TOLERANCE = 0.20
+# Per area, the counters of BENCH_<area>.json that must equal HEAD's.
+EXACT_COUNTERS: dict[str, tuple[str, ...]] = {
+    "streaming": ("delta_candidates", "full_candidates"),
+    "disk_blocking": ("candidates", "rows_spilled"),
+}
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _SCHEMA_VERSION = 1
 
@@ -110,6 +125,17 @@ def _context_mismatch(previous: object, current: object) -> str:
     return ", ".join(differences) or "contexts differ"
 
 
+def _incomparable(previous: dict, current: dict) -> str | None:
+    """The "not comparable" note for two points of different contexts."""
+    if previous.get("context") == current.get("context"):
+        return None
+    return (
+        f"{current.get('area', '?')}: context changed "
+        f"({_context_mismatch(previous.get('context'), current.get('context'))}); "
+        "not comparable"
+    )
+
+
 def compare_trajectories(
     previous: dict, current: dict, tolerance: float = REGRESSION_TOLERANCE
 ) -> list[str]:
@@ -120,12 +146,9 @@ def compare_trajectories(
     ``peak_rss_mb`` are informational and never flagged.  A context
     mismatch yields a single "not comparable" note instead of findings.
     """
-    if previous.get("context") != current.get("context"):
-        return [
-            f"{current.get('area', '?')}: context changed "
-            f"({_context_mismatch(previous.get('context'), current.get('context'))}); "
-            "not comparable"
-        ]
+    note = _incomparable(previous, current)
+    if note:
+        return [note]
     findings: list[str] = []
     area = current.get("area", "?")
     for name, old in (previous.get("throughput") or {}).items():
@@ -147,6 +170,34 @@ def compare_trajectories(
                     f"{area}: {section} {name} grew "
                     f"{(new / old - 1) * 100:.1f}% ({old:.4f} -> {new:.4f})"
                 )
+    return findings
+
+
+def counter_drift(
+    previous: dict, current: dict, names: Sequence[str]
+) -> list[str]:
+    """Findings where ``current``'s named counters differ from ``previous``.
+
+    Meant for deterministic counters only, where any difference is a
+    change of output.  A context mismatch or a counter missing on
+    either side is a finding too, so the gate never passes by comparing
+    nothing.
+    """
+    if not names:
+        return []
+    note = _incomparable(previous, current)
+    if note:
+        return [note]
+    area = current.get("area", "?")
+    old_counters = previous.get("counters") or {}
+    new_counters = current.get("counters") or {}
+    findings: list[str] = []
+    for name in names:
+        old, new = old_counters.get(name), new_counters.get(name)
+        if old is None or new is None:
+            findings.append(f"{area}: counter {name} missing ({old!r} -> {new!r})")
+        elif old != new:
+            findings.append(f"{area}: counter {name} changed ({old} -> {new})")
     return findings
 
 
@@ -270,10 +321,11 @@ def _committed_version(path: Path) -> dict | None:
 
 
 def main(argv=None) -> int:
-    """Compare working-tree ``BENCH_*.json`` against HEAD (report-only).
+    """Compare working-tree ``BENCH_*.json`` against HEAD.
 
-    Exit code is 0 unless ``REPRO_TRAJECTORY_ENFORCE=1`` and a
-    regression was found.
+    Timings are report-only: they fail (exit 1) only with
+    ``REPRO_TRAJECTORY_ENFORCE=1``.  A counter :data:`EXACT_COUNTERS`
+    names that differs from HEAD always fails.
     """
     directory = _trajectory_dir()
     paths = sorted(directory.glob("BENCH_*.json"))
@@ -281,6 +333,7 @@ def main(argv=None) -> int:
         print("trajectory: no BENCH_*.json files to compare")
         return 0
     all_findings: list[str] = []
+    all_drift: list[str] = []
     for path in paths:
         try:
             current = json.loads(path.read_text())
@@ -292,18 +345,24 @@ def main(argv=None) -> int:
             print(f"trajectory: {path.name} is new (no committed baseline)")
             continue
         findings = compare_trajectories(previous, current)
-        if findings:
-            all_findings.extend(findings)
-            for finding in findings:
-                print(f"trajectory: {finding}")
-        else:
+        exact = EXACT_COUNTERS.get(current.get("area"), ())
+        drift = counter_drift(previous, current, exact)
+        all_findings.extend(findings)
+        all_drift.extend(drift)
+        for finding in dict.fromkeys(findings + drift):
+            print(f"trajectory: {finding}")
+        if not findings and not drift:
             print(f"trajectory: {path.name} within tolerance")
+        if exact and not drift:
+            counters = {name: current["counters"][name] for name in exact}
+            print(f"trajectory: {path.name} counters equal HEAD: {counters}")
     regressions = [f for f in all_findings if "not comparable" not in f]
     if regressions:
         print(f"trajectory: {len(regressions)} regression(s) found")
-        if _enforcing():
-            return 1
-    return 0
+    if all_drift:
+        print(f"trajectory: {len(all_drift)} exact-counter finding(s)")
+        return 1
+    return 1 if regressions and _enforcing() else 0
 
 
 if __name__ == "__main__":

@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Disk-backed blocking: push candidate generation into SQLite.
+"""Disk-backed blocking: spill a corpus slice by slice, stream the pairs.
 
 Every in-memory blocker keeps its block membership lists *and* the full
 candidate set in Python memory, so RAM bounds the corpus you can block.
-With ``blocking_storage="disk"`` the pipeline spills ``(block_key,
-record_id)`` rows into indexed SQLite tables and generates pairs with a
-SQL self-join, streamed back in bounded chunks — identical candidates,
-O(chunk) Python memory.
+:mod:`repro.blocking_disk` spills ``(block_key, record_id)`` rows into
+indexed SQLite tables and generates pairs with a SQL self-join, streamed
+back in bounded chunks.  Memory stays bounded only when the caller
+works piecewise, as here:
 
-This example shows:
-
-1. the pipeline knob — same config, same fingerprint, same output;
-2. the streaming piecewise API — spill batches, then stream candidate
-   chunks without ever materializing the set;
-3. the telemetry the disk path emits (rows spilled, chunks, runs).
+1. the corpus arrives in slices; each slice is spilled and dropped;
+2. the join output is consumed chunk by chunk, never as one set;
+3. the ``frost_blocking_*`` counters record the rows, chunks and runs.
 
 Run with::
 
@@ -22,72 +19,49 @@ Run with::
 
 from __future__ import annotations
 
-import time
-
-from repro.blocking_disk import DiskBlockingStore, spill_records, standard_plan
-from repro.datagen import make_person_benchmark
+from repro.blocking_disk import (
+    DiskBlockingStore,
+    spill_records,
+    standard_plan,
+    stream_candidates,
+)
+from repro.datagen.domains import person_entity
+from repro.datagen.generator import (
+    CorruptionModel,
+    DirtyDatasetGenerator,
+    cluster_sizes_zipf,
+)
 from repro.matching.blocking import first_token_key
-from repro.streaming import build_pipeline_and_index
 from repro.telemetry.metrics import get_metrics
 
-CONFIG = {
-    "key": {"kind": "first_token", "attribute": "zip"},
-    "similarities": {
-        "first_name": "jaro_winkler",
-        "last_name": "jaro_winkler",
-        "city": "jaro_winkler",
-    },
-    "threshold": 0.85,
-}
+
+def corpus_slice(index: int, count: int):
+    """One reproducible slice of person records; ids unique across slices."""
+    generator = DirtyDatasetGenerator(
+        entity_factory=person_entity,
+        cluster_sizes=cluster_sizes_zipf(maximum=4),
+        corruption=CorruptionModel(attribute_rate=0.35, null_rate=0.05),
+        name=f"persons-{index}",
+        id_prefix=f"s{index}-",
+        seed=100 + index,
+    )
+    return generator.generate(count).dataset
 
 
 def main() -> None:
-    benchmark = make_person_benchmark(2_000, seed=23)
-    dataset = benchmark.dataset
-
-    # --- 1. The pipeline knob ------------------------------------------------
-    memory_pipeline, _ = build_pipeline_and_index(CONFIG)
-    disk_pipeline, _ = build_pipeline_and_index(
-        {**CONFIG, "blocking_storage": "disk"}
-    )
-    assert (
-        memory_pipeline.config_fingerprint()
-        == disk_pipeline.config_fingerprint()
-    ), "an execution knob must not split the engine's result cache"
-
-    prepared = memory_pipeline.prepare(dataset)
-    started = time.perf_counter()
-    memory_pairs = memory_pipeline.generate_candidates(prepared)
-    memory_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    disk_pairs = disk_pipeline.generate_candidates(prepared)
-    disk_seconds = time.perf_counter() - started
-
-    print("=== Pipeline knob ===")
-    print(f"  records:            {len(dataset)}")
-    print(f"  memory candidates:  {len(memory_pairs)} "
-          f"({memory_seconds * 1000:.1f} ms)")
-    print(f"  disk candidates:    {len(disk_pairs)} "
-          f"({disk_seconds * 1000:.1f} ms)")
-    print(f"  set-identical:      {disk_pairs == memory_pairs} (must be True)")
-
-    # --- 2. Piecewise spilling for larger-than-memory corpora ----------------
-    # The real point of the disk path: the corpus arrives (or is
-    # generated) in slices, each slice is spilled and dropped, and the
-    # join output is consumed chunk by chunk — nothing scales with the
-    # corpus except the SQLite file.
     plan = standard_plan(first_token_key("zip"), {"attribute": "zip"})
     with DiskBlockingStore(chunk_size=10_000) as store:
         run_id = store.begin_run(plan.scheme, dict(plan.config))
-        for start in range(0, 3):
-            batch = make_person_benchmark(1_000, seed=100 + start).dataset
-            spill_records(store, run_id, plan, batch)
+        # --- 1. Spill the corpus slice by slice ------------------------------
+        for index in range(3):
+            spill_records(store, run_id, plan, corpus_slice(index, 1_000))
+        # --- 2. Stream the pushed-down join in bounded chunks ----------------
         candidate_count = 0
         chunk_count = 0
-        for chunk in store.iter_candidate_chunks(run_id):
+        for chunk in stream_candidates(store, run_id, plan):
             candidate_count += len(chunk)
             chunk_count += 1
-        print("\n=== Piecewise spill + streamed join ===")
+        print("=== Piecewise spill + streamed join ===")
         print(f"  membership rows:  {store.key_count(run_id)}")
         print(f"  distinct blocks:  {store.block_count(run_id)}")
         print(f"  candidate pairs:  {candidate_count} "
@@ -100,7 +74,6 @@ def main() -> None:
         "frost_blocking_disk_runs_total",
         "frost_blocking_rows_spilled_total",
         "frost_blocking_chunks_total",
-        "frost_blocking_disk_fallback_total",
     ):
         print(f"  {name}: {metrics.counter(name).value}")
 

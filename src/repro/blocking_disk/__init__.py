@@ -4,23 +4,26 @@ Persists blocking keys, MinHash signatures, and LSH band buckets into
 indexed SQLite tables and generates candidate pairs with SQL self-joins
 and window functions, streamed back in bounded chunks — candidate sets
 are identical to the in-memory blockers of
-:mod:`repro.matching.blocking` / :mod:`repro.matching.lsh`, but Python
-memory stays O(chunk) instead of O(corpus).  Flip a
-:class:`~repro.matching.pipeline.MatchingPipeline` onto this path with
-``blocking_storage="disk"`` (an execution knob: never part of the
-config fingerprint), or a streaming session via the
-``"blocking_storage"`` config key.
+:mod:`repro.matching.blocking` / :mod:`repro.matching.lsh`.
+
+Memory stays bounded only when the caller works piecewise: spill a
+corpus slice by slice with :func:`spill_records`, then consume
+:func:`stream_candidates` chunk by chunk without building the set.
+:func:`run_disk_blocking` and the ``disk_*`` blockers fold the chunks
+into the same ``set[Pair]`` the in-memory blockers return, so they save
+no memory and run slower; they serve identity checks and runs whose
+rows should stay in a store's tables.  This package is a library, not
+a mode of :class:`~repro.matching.pipeline.MatchingPipeline` or of
+streaming sessions, which always block in memory.
 """
 
 from repro.blocking_disk.blockers import (
     DiskBlockingPlan,
-    disk_candidates,
     disk_lsh_blocking,
     disk_sorted_neighborhood,
     disk_standard_blocking,
     disk_token_blocking,
     lsh_plan,
-    plan_for_generator,
     run_disk_blocking,
     sorted_neighborhood_plan,
     spill_records,
@@ -28,7 +31,6 @@ from repro.blocking_disk.blockers import (
     stream_candidates,
     token_plan,
 )
-from repro.blocking_disk.incremental import DiskBlockingIndex
 from repro.blocking_disk.store import (
     BLOCKING_SCHEMA,
     DEFAULT_CHUNK_SIZE,
@@ -38,16 +40,13 @@ from repro.blocking_disk.store import (
 __all__ = [
     "BLOCKING_SCHEMA",
     "DEFAULT_CHUNK_SIZE",
-    "DiskBlockingIndex",
     "DiskBlockingPlan",
     "DiskBlockingStore",
-    "disk_candidates",
     "disk_lsh_blocking",
     "disk_sorted_neighborhood",
     "disk_standard_blocking",
     "disk_token_blocking",
     "lsh_plan",
-    "plan_for_generator",
     "run_disk_blocking",
     "sorted_neighborhood_plan",
     "spill_records",

@@ -16,15 +16,6 @@ plans reuse the exact key emitters of the delta-blocking machinery
 :meth:`~repro.matching.lsh.MinHasher.band_keys`), so the ``(block_key,
 record_id)`` rows agree row-for-row, and the SQL joins reproduce the
 Python pair canonicalization (see :mod:`repro.blocking_disk.store`).
-
-:func:`plan_for_generator` maps a pipeline's candidate generator to its
-plan: generators exposing a ``disk_blocking_plan()`` hook (``LshBlocking``,
-the streaming config's batch blocker) plan themselves; the bare
-:func:`~repro.matching.blocking.token_blocking` function is recognized
-by identity; anything else — custom callables, composed blockers —
-returns ``None`` and the pipeline falls back to the in-memory path
-(with a warning and a ``frost_blocking_disk_fallback_total`` tick),
-which is safe because the knob never changes the candidate set.
 """
 
 from __future__ import annotations
@@ -36,17 +27,12 @@ from dataclasses import dataclass, field
 from repro.blocking_disk.store import DiskBlockingStore
 from repro.core.pairs import Pair
 from repro.core.records import Record
-from repro.matching.blocking import (
-    BlockingKey,
-    note_purged_blocks,
-    token_blocking,
-)
+from repro.matching.blocking import BlockingKey, note_purged_blocks
 from repro.matching.lsh import LshConfig, MinHasher, record_tokens
 from repro.streaming.delta_blocking import single_key, token_keys
 
 __all__ = [
     "DiskBlockingPlan",
-    "plan_for_generator",
     "standard_plan",
     "token_plan",
     "sorted_neighborhood_plan",
@@ -54,7 +40,6 @@ __all__ = [
     "spill_records",
     "stream_candidates",
     "run_disk_blocking",
-    "disk_candidates",
     "disk_standard_blocking",
     "disk_token_blocking",
     "disk_sorted_neighborhood",
@@ -166,16 +151,6 @@ def lsh_plan(config: LshConfig | None = None) -> DiskBlockingPlan:
     )
 
 
-def plan_for_generator(generator: object) -> DiskBlockingPlan | None:
-    """The SQL-pushdown plan of a pipeline candidate generator, if any."""
-    planner = getattr(generator, "disk_blocking_plan", None)
-    if planner is not None:
-        return planner()
-    if generator is token_blocking:
-        return token_plan()
-    return None
-
-
 # -- execution ------------------------------------------------------------------
 
 
@@ -261,17 +236,6 @@ def run_disk_blocking(
     finally:
         if owns:
             store.close()
-
-
-def disk_candidates(
-    generator: object, dataset: Iterable[Record]
-) -> set[Pair] | None:
-    """Run a pipeline candidate generator through the disk path, if it
-    has a plan; ``None`` signals the caller to fall back in-memory."""
-    plan = plan_for_generator(generator)
-    if plan is None:
-        return None
-    return run_disk_blocking(plan, dataset)
 
 
 # -- direct counterparts of the batch blockers ----------------------------------

@@ -43,8 +43,7 @@ __all__ = ["BLOCKING_SCHEMA", "DiskBlockingStore", "DEFAULT_CHUNK_SIZE"]
 
 # Appended to the FrostStore schema (user_version 3) and bootstrapped
 # standalone for scratch stores.  ``entry_id`` aliases SQLite's rowid,
-# so block membership keeps its arrival order — the property the
-# incremental index's emission cap depends on.
+# so block membership keeps its arrival order.
 BLOCKING_SCHEMA = """
 CREATE TABLE IF NOT EXISTS blocking_runs (
     run_id INTEGER PRIMARY KEY,

@@ -306,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also lowercase values during preparation",
     )
     stream_init.add_argument(
-        "--blocking-storage",
-        choices=("memory", "disk"),
-        default=None,
-        help="where block membership lives: 'disk' spills blocking keys "
-             "into SQLite and joins candidates there (identical output, "
-             "bounded Python memory; default memory)",
-    )
-    stream_init.add_argument(
         "--graph",
         action="store_true",
         help="maintain a persisted match graph, updated per batch "
@@ -489,13 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--threshold", type=float, default=0.8, help="match threshold"
-    )
-    trace.add_argument(
-        "--blocking-storage",
-        choices=("memory", "disk"),
-        default=None,
-        help="run candidate generation through the SQL-pushdown disk "
-             "path (identical candidates; default memory)",
     )
     trace.add_argument(
         "--repeat",
@@ -946,8 +931,6 @@ def _stream_config_from_args(args: argparse.Namespace) -> dict:
         "threshold": args.threshold,
         "preparers": preparers,
     }
-    if getattr(args, "blocking_storage", None):
-        config["blocking_storage"] = args.blocking_storage
     if getattr(args, "graph", False):
         config["graph"] = True
     return config
@@ -1142,8 +1125,6 @@ def _command_trace(args: argparse.Namespace, fmt: CsvFormat) -> int:
             "similarities": similarities,
             "threshold": args.threshold,
         }
-        if args.blocking_storage:
-            trace_config["blocking_storage"] = args.blocking_storage
         pipeline, _ = build_pipeline_and_index(trace_config)
 
         engine = ExperimentEngine(platform, max_workers=2)

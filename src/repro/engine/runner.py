@@ -41,9 +41,10 @@ Built-in job kinds:
     optional ``blocker`` (a JSON key config such as ``{"kind": "lsh",
     "bands": 16}`` swapping the candidate generator per job — part of
     the cache token, because different blockers produce different
-    results), optional ``blocking_storage`` (``"memory"`` or
-    ``"disk"``; absent from the cache token because both produce the
-    same candidates).
+    results).  Other params are ignored and stay out of the cache
+    token, so a job still sending a retired execution param
+    (``workers``, ``shards``, ``blocking_storage``) shares the plain
+    job's cache entry.
 ``stream_ingest``
     Fold one record batch into a live
     :class:`~repro.streaming.StreamingMatcher`.  Params: ``session``,
@@ -694,9 +695,7 @@ class ExperimentEngine:
     def _pipeline_token(self, params: Mapping[str, object]) -> object:
         # The blocker override is part of the fingerprinted pipeline
         # (with_blocker changes the candidate_generator token), so the
-        # cache distinguishes runs with different blocker configs —
-        # while a blocking_storage override, which cannot change
-        # output, shares one cache entry.
+        # cache distinguishes runs with different blocker configs.
         return {
             "dataset": self.platform.dataset(params["dataset"]),
             "pipeline": self._selected_pipeline(params).config_fingerprint(),
@@ -724,12 +723,6 @@ class ExperimentEngine:
         self, params: Mapping[str, object], inputs: Sequence[object]
     ) -> PipelineRun:
         pipeline = self._selected_pipeline(params)
-        # blocking_storage is an execution knob: like the pipeline
-        # attribute it overrides, it stays out of the job's cache key
-        # (the output cannot depend on it).
-        blocking_storage = params.get("blocking_storage")
-        if blocking_storage is not None:
-            pipeline = pipeline.with_blocking_storage(str(blocking_storage))
         return pipeline.run(self.platform.dataset(params["dataset"]))
 
     def _register_pipeline_result(

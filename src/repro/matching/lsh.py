@@ -388,16 +388,3 @@ class LshBlocking:
     def config_fingerprint(self) -> dict[str, object]:
         """Content token for the engine's cache keys."""
         return {"lsh_blocking": self.config.as_dict()}
-
-    def disk_blocking_plan(self):
-        """The SQL-pushdown execution plan of this blocker.
-
-        Lets ``blocking_storage="disk"`` pipelines spill signatures and
-        band-bucket rows into SQLite and self-join there instead of
-        building Python bucket lists (see :mod:`repro.blocking_disk`).
-        The candidate set is identical either way, so this — like the
-        plan hook itself — never affects :meth:`config_fingerprint`.
-        """
-        from repro.blocking_disk.blockers import lsh_plan
-
-        return lsh_plan(self.config)

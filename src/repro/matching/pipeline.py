@@ -52,23 +52,6 @@ _MATCHES_ACCEPTED = _telemetry_metrics.get_metrics().counter(
     "frost_clustering_matches_total",
     "Matches emitted by the clustering stage (direct + transitive)",
 )
-_DISK_FALLBACKS = _telemetry_metrics.get_metrics().counter(
-    "frost_blocking_disk_fallback_total",
-    "blocking_storage='disk' requests served by the in-memory path "
-    "(no SQL pushdown plan for the configured generator)",
-)
-
-_BLOCKING_STORAGES = ("memory", "disk")
-
-
-def _coerce_blocking_storage(blocking_storage: str) -> str:
-    storage = str(blocking_storage)
-    if storage not in _BLOCKING_STORAGES:
-        raise ValueError(
-            f"blocking_storage must be one of {_BLOCKING_STORAGES}, "
-            f"got {blocking_storage!r}"
-        )
-    return storage
 
 __all__ = ["PipelineRun", "MatchingPipeline", "normalize_whitespace", "lowercase_values"]
 
@@ -157,17 +140,6 @@ class MatchingPipeline:
         dataset.
     name / solution:
         Labels attached to the resulting experiment.
-    blocking_storage:
-        ``"memory"`` (default) runs the candidate generator as-is;
-        ``"disk"`` pushes blocking into SQLite via
-        :mod:`repro.blocking_disk` — keys and signatures spill to
-        indexed tables and the pair join runs as a SQL self-join
-        streamed in bounded chunks, so blocking memory stays O(chunk)
-        instead of O(corpus).  Candidate sets are identical either
-        way (generators without a pushdown plan fall back in-memory
-        with a warning), so this is an execution knob, absent from
-        :meth:`config_fingerprint` — the engine's result cache must
-        not distinguish runs that cannot differ.
     """
 
     def __init__(
@@ -182,7 +154,6 @@ class MatchingPipeline:
         fusion_strategies: Mapping[str, object] | None = None,
         name: str = "pipeline-run",
         solution: str = "pipeline",
-        blocking_storage: str = "memory",
     ) -> None:
         self.candidate_generator = candidate_generator
         self.comparator = comparator
@@ -202,7 +173,6 @@ class MatchingPipeline:
         self.fusion_strategies = fusion_strategies
         self.name = name
         self.solution = solution
-        self.blocking_storage = _coerce_blocking_storage(blocking_storage)
 
     # -- stages ------------------------------------------------------------------
 
@@ -231,31 +201,9 @@ class MatchingPipeline:
             return prepared
 
     def generate_candidates(self, prepared: Dataset) -> set[Pair]:
-        """Step 2 — candidate pairs of the prepared dataset.
-
-        With ``blocking_storage="disk"`` the generator's SQL-pushdown
-        plan (see :func:`repro.blocking_disk.plan_for_generator`) runs
-        inside a scratch SQLite database instead; generators without a
-        plan fall back to the in-memory call — same candidates, so the
-        fallback is an observability event (warning + counter), not an
-        error.
-        """
+        """Step 2 — candidate pairs of the prepared dataset."""
         with _tracing.span("pipeline.candidates", records=len(prepared)) as span:
-            candidates: set[Pair] | None = None
-            if self.blocking_storage == "disk":
-                from repro.blocking_disk import disk_candidates
-
-                candidates = disk_candidates(self.candidate_generator, prepared)
-                if candidates is None:
-                    _DISK_FALLBACKS.inc()
-                    _LOGGER.warning(
-                        "blocking_storage='disk' has no SQL pushdown plan "
-                        "for %r; falling back to the in-memory path "
-                        "(output is identical)",
-                        self.candidate_generator,
-                    )
-            if candidates is None:
-                candidates = self.candidate_generator(prepared)
+            candidates = self.candidate_generator(prepared)
             span.annotate(pairs=len(candidates))
             _CANDIDATES_GENERATED.inc(len(candidates))
             return candidates
@@ -417,29 +365,16 @@ class MatchingPipeline:
 
     # -- engine integration -----------------------------------------------------
 
-    def with_blocking_storage(self, blocking_storage: str) -> "MatchingPipeline":
-        """A shallow copy with blocking routed to memory or disk.
-
-        This only changes *how* candidate generation executes, never
-        its output — the SQL-pushdown plans produce candidate sets
-        identical to the in-memory blockers (and generators without a
-        plan fall back to the in-memory call).
-        """
-        clone = copy.copy(self)
-        clone.blocking_storage = _coerce_blocking_storage(blocking_storage)
-        return clone
-
     def with_blocker(self, candidate_generator: CandidateGenerator) -> "MatchingPipeline":
         """A shallow copy running a different candidate generator.
 
-        Unlike :meth:`with_blocking_storage` this **changes the
-        output**, so it also changes :meth:`config_fingerprint` (the
-        generator is part of the token): the engine's result cache distinguishes a
-        token-blocked run from an LSH-blocked run of the same pipeline,
-        and two LSH configs from each other — provided the generator
-        exposes a ``config_fingerprint`` (as
-        :class:`~repro.matching.lsh.LshBlocking` does) or is a named
-        module-level function.
+        This **changes the output**, so it also changes
+        :meth:`config_fingerprint` (the generator is part of the
+        token): the engine's result cache distinguishes a token-blocked
+        run from an LSH-blocked run of the same pipeline, and two LSH
+        configs from each other — provided the generator exposes a
+        ``config_fingerprint`` (as :class:`~repro.matching.lsh.LshBlocking`
+        does) or is a named module-level function.
         """
         clone = copy.copy(self)
         clone.candidate_generator = candidate_generator
@@ -451,10 +386,7 @@ class MatchingPipeline:
         Used by :mod:`repro.engine` to content-address pipeline job
         results.  Callables are tokenized by qualified name, so custom
         steps should be module-level functions (not lambdas closing
-        over differing constants).  :attr:`blocking_storage` is
-        deliberately excluded: disk-backed blocking is byte-identical
-        to the in-memory path, and a fingerprint that varied with it
-        would split the cache across entries that hold the same result.
+        over differing constants).
         """
         from repro.engine.jobs import content_fingerprint
 

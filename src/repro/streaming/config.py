@@ -21,10 +21,6 @@ store when a durable session is resumed.  Schema::
       "similarities": {"name": "jaro_winkler", "zip": "exact"},
       "threshold": 0.6,
       "preparers": ["normalize_whitespace"],
-      "blocking_storage": "disk",     # optional: "memory" (default) or
-                                      # "disk" — SQLite-backed blocking
-                                      # (identical candidates, bounded
-                                      # Python memory)
       "graph": true                   # optional: maintain a persisted
     }                                 # match graph (durable streams)
 
@@ -45,7 +41,9 @@ are rejected with an explicit error: their candidates depend on the
 global sort order, so no append-only delta decomposition exists.
 
 Keys outside the schema are dropped on validation, so a stream stored
-with a retired key (``"columnar"``, ``"parallelism"``) still resumes.
+with a retired key (``"columnar"``, ``"parallelism"``,
+``"blocking_storage"``) still resumes; its delta index is rebuilt in
+memory from the persisted block rows.
 """
 
 from __future__ import annotations
@@ -163,14 +161,6 @@ def validate_config(config: Mapping[str, object]) -> dict[str, object]:
         "threshold": threshold,
         "preparers": list(preparers),
     }
-    blocking_storage = config.get("blocking_storage", "memory")
-    if blocking_storage not in ("memory", "disk"):
-        raise ValueError(
-            "config.blocking_storage must be 'memory' or 'disk', "
-            f"got {blocking_storage!r}"
-        )
-    if "blocking_storage" in config:
-        normalized["blocking_storage"] = blocking_storage
     graph = config.get("graph", False)
     if not isinstance(graph, bool):
         raise ValueError("config.graph must be a boolean")
@@ -218,23 +208,6 @@ class _BatchBlocking:
         """Content token for the engine's cache keys."""
         return {"batch_blocking": self._config}
 
-    def disk_blocking_plan(self):
-        """The SQL-pushdown plan for ``blocking_storage="disk"``.
-
-        Reuses the exact same key emitters as :meth:`__call__`'s
-        blockers, so the disk path's candidate set is identical.
-        """
-        from repro.blocking_disk.blockers import standard_plan, token_plan
-
-        config = self._config
-        if config["kind"] == "token":
-            return token_plan(
-                attributes=config.get("attributes"),
-                min_token_length=int(config.get("min_token_length", 3)),
-                max_block_size=config.get("max_block_size"),
-            )
-        return standard_plan(_blocking_key(config), config)
-
 
 def candidate_generator_from_key(key: object):
     """The *batch* candidate generator described by a key config.
@@ -255,33 +228,14 @@ def _candidate_generator(key: Mapping[str, object]):
     return _BatchBlocking(key)
 
 
-def delta_index_from_key(
-    key: object, storage: str = "memory"
-) -> IncrementalBlockingIndex:
-    """A fresh incremental delta index for a key config.
-
-    ``storage="disk"`` returns a
-    :class:`~repro.blocking_disk.incremental.DiskBlockingIndex` whose
-    block membership lives in a scratch SQLite database — identical
-    ingest/retract/restore semantics, bounded Python memory.
-    """
-    return _delta_index(validate_key_config(key), storage)
+def delta_index_from_key(key: object) -> IncrementalBlockingIndex:
+    """A fresh incremental delta index for a key config."""
+    return _delta_index(validate_key_config(key))
 
 
-def _delta_index(
-    key: Mapping[str, object], storage: str = "memory"
-) -> IncrementalBlockingIndex:
+def _delta_index(key: Mapping[str, object]) -> IncrementalBlockingIndex:
     """:func:`delta_index_from_key` for pre-validated keys."""
     if key["kind"] == "lsh":
-        if storage == "disk":
-            from repro.blocking_disk.incremental import DiskBlockingIndex
-            from repro.matching.lsh import MinHasher
-
-            config = _lsh_config(key)
-            return DiskBlockingIndex(
-                MinHasher(config).keys_for,
-                max_block_size=config.max_block_size,
-            )
         return IncrementalLshIndex(_lsh_config(key))
     if key["kind"] == "token":
         emitter = token_keys(
@@ -290,12 +244,6 @@ def _delta_index(
         )
     else:
         emitter = single_key(_blocking_key(key))
-    if storage == "disk":
-        from repro.blocking_disk.incremental import DiskBlockingIndex
-
-        return DiskBlockingIndex(
-            emitter, max_block_size=key.get("max_block_size")
-        )
     return IncrementalBlockingIndex(
         emitter, max_block_size=key.get("max_block_size")
     )
@@ -313,7 +261,6 @@ def _build_pipeline_and_index(
 ) -> tuple[MatchingPipeline, IncrementalBlockingIndex]:
     """:func:`build_pipeline_and_index` for pre-validated configs."""
     key = config["key"]
-    storage = str(config.get("blocking_storage", "memory"))
     pipeline = MatchingPipeline(
         candidate_generator=_candidate_generator(key),
         comparator=AttributeComparator(config["similarities"]),
@@ -323,9 +270,8 @@ def _build_pipeline_and_index(
         clustering="connected_components",
         name="streaming-config",
         solution="streaming",
-        blocking_storage=storage,
     )
-    return pipeline, _delta_index(key, storage)
+    return pipeline, _delta_index(key)
 
 
 def build_session(

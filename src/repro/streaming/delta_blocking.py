@@ -218,11 +218,12 @@ class IncrementalBlockingIndex:
         Each touched block contributes its members × the new record;
         one ``np.unique`` over packed ``first << 32 | second`` keys
         de-duplicates pairs that share several blocks.  An exception
-        (a duplicate id, a failing key emitter or member hook) undoes
-        this call's memberships before it propagates.
+        (a duplicate id or a failing key emitter) undoes this call's
+        memberships before it propagates.
         """
         ids = self._ids
         id_of = self._id_of
+        blocks = self._blocks
         cap = self.max_block_size
         members_lane: list[int] = []
         emitters: list[int] = []
@@ -241,14 +242,17 @@ class IncrementalBlockingIndex:
                 ids.append(record_id)
                 record_ids.append(record_id)
                 for key in self._keys_for(record):
-                    members = self._members(key)
-                    if members and (cap is None or len(members) < cap):
-                        if members[-1] == new:  # the key was emitted twice
-                            make_pair(record_id, record_id)  # raises
-                        members_lane.extend(members)
-                        emitters.append(new)
-                        counts.append(len(members))
-                    self._add_member(key, new)
+                    members = blocks.get(key)
+                    if members is None:
+                        blocks[key] = [new]
+                    else:
+                        if cap is None or len(members) < cap:
+                            if members[-1] == new:  # the key was emitted twice
+                                make_pair(record_id, record_id)  # raises
+                            members_lane.extend(members)
+                            emitters.append(new)
+                            counts.append(len(members))
+                        members.append(new)
                     memberships.append((key, record_id))
         except BaseException:
             self.retract(
@@ -267,44 +271,17 @@ class IncrementalBlockingIndex:
             record_ids=record_ids,
         )
 
-    def _members(self, key: str) -> Sequence[int]:
-        """The index ids of block ``key``, in arrival order."""
-        return self._blocks.get(key, ())
-
-    def _add_member(self, key: str, member: int) -> None:
-        """Append index id ``member`` to block ``key``."""
-        self._blocks.setdefault(key, []).append(member)
-
-    def _intern(self, record_id: str) -> int:
-        """The index id of ``record_id``, assigning the next one if new."""
-        member = self._id_of.get(record_id)
-        if member is None:
-            member = self._id_of[record_id] = len(self._ids)
-            self._ids.append(record_id)
-        return member
-
-    def _forget(self, delta: DeltaIngest) -> None:
-        """Drop the ids of a retracted ingest from the id table.
-
-        The delta's pairs are built first, while its ids still name its
-        records; the table then sheds the ids at its tail that no
-        longer index a record, so the next ingest reuses them.
-        """
-        delta.pairs
-        id_of = self._id_of
-        for record_id in delta.record_ids:
-            id_of.pop(record_id, None)
-        ids = self._ids
-        while ids and id_of.get(ids[-1]) != len(ids) - 1:
-            ids.pop()
-
     def retract(self, delta: DeltaIngest) -> None:
         """Undo one :meth:`ingest_delta` (used when scoring or durable
         persistence of the batch fails and the session must roll back
         to its pre-batch state).
 
         Only the *latest* ingest may be retracted — memberships were
-        appended, so they sit at the tail of their block lists.
+        appended, so they sit at the tail of their block lists.  The
+        delta's pairs are built before its ids are dropped, while the
+        ids still name its records; the id table then sheds the ids at
+        its tail that no longer index a record, so the next ingest
+        reuses them.
         """
         id_of = self._id_of
         for key, record_id in reversed(delta.memberships):
@@ -316,7 +293,12 @@ class IncrementalBlockingIndex:
                 members.remove(member)
             if not members and members is not None:
                 del self._blocks[key]
-        self._forget(delta)
+        delta.pairs
+        for record_id in delta.record_ids:
+            id_of.pop(record_id, None)
+        ids = self._ids
+        while ids and id_of.get(ids[-1]) != len(ids) - 1:
+            ids.pop()
 
     def restore(self, memberships: Iterable[tuple[str, str]]) -> None:
         """Rebuild the index from persisted ``(block_key, record_id)`` rows.
@@ -326,10 +308,16 @@ class IncrementalBlockingIndex:
         restored index's ids follow the rows, not the original arrival
         order, and records without a membership get none.
         """
-        if self._id_of:
+        id_of = self._id_of
+        if id_of:
             raise ValueError("restore() requires an empty index")
+        ids = self._ids
         for key, record_id in memberships:
-            self._blocks.setdefault(key, []).append(self._intern(record_id))
+            member = id_of.get(record_id)
+            if member is None:
+                member = id_of[record_id] = len(ids)
+                ids.append(record_id)
+            self._blocks.setdefault(key, []).append(member)
 
 
 _NO_IDS = np.empty(0, dtype=np.int64)

@@ -291,7 +291,6 @@ class StreamingMatcher:
                 "graph": (
                     self._graph.graph.name if self._graph is not None else None
                 ),
-                "blocking_storage": self.pipeline.blocking_storage,
                 "latest": latest,
                 "snapshots": [s.as_dict() for s in self._snapshots],
             }

@@ -8,12 +8,11 @@ import pytest
 
 from repro.blocking_disk import (
     DiskBlockingStore,
-    disk_candidates,
     disk_lsh_blocking,
     disk_sorted_neighborhood,
     disk_standard_blocking,
     disk_token_blocking,
-    plan_for_generator,
+    lsh_plan,
     run_disk_blocking,
     sorted_neighborhood_plan,
     token_plan,
@@ -21,7 +20,7 @@ from repro.blocking_disk import (
 from repro.core import Dataset, Record
 from repro.datagen import make_person_benchmark
 from repro.matching import blocking
-from repro.matching.lsh import LshBlocking, LshConfig, lsh_blocking
+from repro.matching.lsh import LshConfig, lsh_blocking
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -103,28 +102,11 @@ class TestPlans:
     def test_lsh_plan_spills_signatures(self, people):
         config = LshConfig(num_perm=16, bands=4)
         with DiskBlockingStore() as store:
-            generator = LshBlocking(config)
-            plan = generator.disk_blocking_plan()
+            plan = lsh_plan(config)
             run_disk_blocking(plan, people, store=store)
             # signatures persisted: 8 bytes per permutation per record
             blob = store.signature(1, next(iter(people)).record_id)
             assert blob is not None and len(blob) == 16 * 8
-
-    def test_plan_for_generator_recognition(self):
-        assert plan_for_generator(blocking.token_blocking).scheme == (
-            "token_blocking"
-        )
-        assert plan_for_generator(LshBlocking()).scheme == "lsh_blocking"
-        assert plan_for_generator(lambda dataset: set()) is None
-
-    def test_disk_candidates_fallback_signal(self, messy):
-        def custom(dataset):
-            return set()
-
-        assert disk_candidates(custom, messy) is None
-        assert disk_candidates(blocking.token_blocking, messy) == (
-            blocking.token_blocking(messy)
-        )
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="at least 2"):

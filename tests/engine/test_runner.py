@@ -468,9 +468,10 @@ class TestPipelineJobs:
     def test_retired_workers_params_share_the_cache_entry(
         self, engine, pipeline
     ):
-        """A client still sending the retired sharding params
-        (``workers``, ``shards``) gets the same job: they are ignored,
-        so a plain submission's cached result serves it."""
+        """A client still sending the retired execution params
+        (``workers``, ``shards``, ``blocking_storage``) gets the same
+        job: they are ignored, so a plain submission's cached result
+        serves it."""
         plain = engine.run(
             [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
                      job_id="plain")]
@@ -480,7 +481,7 @@ class TestPipelineJobs:
             [JobSpec(
                 "pipeline",
                 {"pipeline": pipeline, "dataset": "people",
-                 "workers": 4, "shards": 8},
+                 "workers": 4, "shards": 8, "blocking_storage": "disk"},
                 job_id="stale",
             )]
         )["stale"]
@@ -507,8 +508,8 @@ class TestBlockerJobParam:
         )
 
     def test_blocker_override_changes_the_cache_key(self, engine, pipeline):
-        """Unlike blocking_storage, a blocker override changes the
-        output — so it must split the cache, never share an entry."""
+        """Unlike a retired execution param, a blocker override changes
+        the output — so it must split the cache, never share an entry."""
         base = engine.run(
             [JobSpec("pipeline", {"pipeline": pipeline, "dataset": "people"},
                      job_id="base")]

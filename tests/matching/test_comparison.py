@@ -471,6 +471,15 @@ def test_sharding_modules_are_gone(module):
         importlib.import_module(module)
 
 
+def test_the_disk_delta_index_is_gone():
+    import repro.blocking_disk
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.blocking_disk.incremental")
+    for name in ("DiskBlockingIndex", "disk_candidates", "plan_for_generator"):
+        assert not hasattr(repro.blocking_disk, name)
+
+
 def test_the_pipeline_takes_no_parallelism():
     with pytest.raises(TypeError):
         MatchingPipeline(
@@ -479,3 +488,14 @@ def test_the_pipeline_takes_no_parallelism():
             decision_model=_mean_model(),
             parallelism=None,
         )
+
+
+def test_the_pipeline_takes_no_blocking_storage():
+    with pytest.raises(TypeError):
+        MatchingPipeline(
+            candidate_generator=_candidates,
+            comparator=AttributeComparator(FUNCTIONS),
+            decision_model=_mean_model(),
+            blocking_storage="disk",
+        )
+    assert not hasattr(MatchingPipeline, "with_blocking_storage")

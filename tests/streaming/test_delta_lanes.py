@@ -6,7 +6,7 @@ its blocks held record-id strings: per ingest, a set of
 the end.  Over random batch splits, the id-lane indexes must emit the
 same pairs and add the same memberships, and ``retract``/``restore``
 must leave the same state — for single keys, multi-key token keys,
-the emission cap, LSH buckets and the disk index.
+the emission cap and LSH buckets, capped and not.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.blocking_disk import DiskBlockingIndex
 from repro.core.pairs import make_pair
 from repro.core.records import Record
 from repro.matching.blocking import first_token_key
@@ -29,6 +28,7 @@ from repro.streaming.delta_blocking import (
 
 WORDS = ["smith", "smyth", "jones", "lee", "miller", "ann", "berg", "stone"]
 SMALL_LSH = LshConfig(num_perm=16, bands=8)
+CAPPED_LSH = LshConfig(num_perm=16, bands=8, max_block_size=4)
 
 
 class ReferenceIndex:
@@ -107,15 +107,14 @@ def lsh():
     )
 
 
-def disk():
-    emitter = token_keys(min_token_length=3)
+def capped_lsh():
     return (
-        DiskBlockingIndex(emitter, max_block_size=5),
-        ReferenceIndex(emitter, max_block_size=5),
+        IncrementalLshIndex(CAPPED_LSH),
+        ReferenceIndex(MinHasher(CAPPED_LSH).keys_for, max_block_size=4),
     )
 
 
-INDEXES = [first_token, multi_key, capped, lsh, disk]
+INDEXES = [first_token, multi_key, capped, lsh, capped_lsh]
 
 
 def corpus(rng: random.Random, count: int) -> list[Record]:

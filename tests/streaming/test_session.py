@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.records import Dataset, Record
+from repro.datagen import make_person_benchmark
 from repro.storage.database import FrostStore
 from repro.streaming import (
     StreamError,
@@ -122,7 +123,60 @@ class TestBatchEquivalence:
         )
 
 
+RESUME_KEYS = {
+    "first_token": {"kind": "first_token", "attribute": "last_name"},
+    "soundex": {"kind": "soundex", "attribute": "last_name"},
+    "token_capped": {
+        "kind": "token", "attributes": ["first_name", "last_name"],
+        "max_block_size": 4,
+    },
+    "lsh_capped": {
+        "kind": "lsh", "num_perm": 16, "bands": 4, "max_block_size": 25,
+    },
+    # default banding (128 permutations, 32 bands), uncapped: the
+    # highest key fan-out a stream config can ask for
+    "lsh_default": {"kind": "lsh"},
+}
+
+
+@pytest.fixture(scope="module")
+def people():
+    return list(make_person_benchmark(240, seed=3).dataset)
+
+
 class TestDurability:
+    @pytest.mark.parametrize("kind", sorted(RESUME_KEYS))
+    def test_a_resumed_index_emits_what_the_live_one_emits(
+        self, kind, people, tmp_path
+    ):
+        """A durable stream rebuilds its delta index in memory from the
+        persisted block rows: reopened from its file, it holds the
+        blocks of a store-less session fed the same batches, and the
+        next batch emits and clusters the same."""
+        config = {
+            "key": RESUME_KEYS[kind],
+            "similarities": {
+                "first_name": "jaro_winkler",
+                "last_name": "jaro_winkler",
+            },
+            "threshold": 0.85,
+        }
+        live = build_session(config)
+        path = tmp_path / "stream.db"
+        with FrostStore(path) as store:
+            durable = build_session(config, store=store, name="s")
+            assert durable.ingest(people[:150]) == live.ingest(people[:150])
+        with FrostStore(path) as store:
+            resumed = open_session(store, "s")
+            assert resumed.index.block_items() == live.index.block_items()
+            assert resumed.status()["blocks"] == live.status()["blocks"]
+            snapshot = resumed.ingest(people[150:])
+            assert snapshot == live.ingest(people[150:])
+            assert snapshot.delta_candidates > 0
+            assert set(resumed.clusters().clusters) == set(
+                live.clusters().clusters
+            )
+
     def test_resume_restores_full_state(self):
         store = FrostStore(":memory:")
         session = build_session(CONFIG, store=store, name="crm")
@@ -232,13 +286,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "retired",
-        [{"columnar": False}, {"parallelism": {"workers": 2, "shards": 4}}],
-        ids=["columnar", "parallelism"],
+        [
+            {"columnar": False},
+            {"parallelism": {"workers": 2, "shards": 4}},
+            {"blocking_storage": "disk"},
+            {"blocking_storage": "tape"},
+        ],
+        ids=["columnar", "parallelism", "blocking_storage",
+             "blocking_storage_any_value"],
     )
     def test_legacy_columnar_key_is_ignored(self, retired):
         """A config or a stored stream carrying a retired key
-        (``columnar``, ``parallelism``) still validates, builds, and
-        resumes to the same clusters."""
+        (``columnar``, ``parallelism``, ``blocking_storage``) still
+        validates, builds, and resumes to the same clusters — whatever
+        its value, including one the knob's own validation rejected."""
         legacy = {**CONFIG, **retired}
         assert validate_config(legacy) == validate_config(CONFIG)
         build_pipeline_and_index(legacy)
@@ -247,6 +308,7 @@ class TestConfigValidation:
         open_session(store, "legacy").ingest(BATCH_ONE)
         resumed = open_session(store, "legacy")
         resumed.ingest(BATCH_TWO)
+        assert not set(retired) & set(resumed.status())
         fresh = build_session(CONFIG)
         fresh.ingest(BATCH_ONE)
         fresh.ingest(BATCH_TWO)

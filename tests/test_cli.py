@@ -92,12 +92,17 @@ class TestParser:
     )
     def test_scoring_commands_take_no_workers_flag(self, argv, capsys):
         """Comparison scoring runs in one process: only the engine and
-        the server size a (thread) worker pool."""
+        the server size a (thread) worker pool.  Blocking runs in
+        memory: none of them takes ``--blocking-storage``."""
         build_parser().parse_args(argv)
-        with pytest.raises(SystemExit) as rejected:
-            build_parser().parse_args([*argv, "--workers", "2"])
-        assert rejected.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        for retired in (["--workers", "2"], ["--blocking-storage", "disk"]):
+            with pytest.raises(SystemExit) as rejected:
+                build_parser().parse_args([*argv, *retired])
+            assert rejected.value.code == 2
+            assert (
+                f"unrecognized arguments: {' '.join(retired)}"
+                in capsys.readouterr().err
+            )
 
 
 class TestMetrics:

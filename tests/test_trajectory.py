@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from benchmarks.trajectory import (
+    EXACT_COUNTERS,
     REGRESSION_TOLERANCE,
     compare_trajectories,
     emit_trajectory,
@@ -192,3 +194,92 @@ class TestMain:
         emit_trajectory("fresh", seconds={"total": 1.0}, context={})
         assert main() == 0
         assert "BENCH_fresh.json is new" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("enforce, code", [(None, 0), ("1", 1)])
+    def test_a_timing_regression_fails_only_when_enforcing(
+        self, trajectory_dir, monkeypatch, capsys, enforce, code
+    ):
+        import benchmarks.trajectory as trajectory
+
+        committed = {"area": "slow", "context": {}, "seconds": {"total": 1.0}}
+        monkeypatch.setattr(
+            trajectory, "_committed_version", lambda path: committed
+        )
+        emit_trajectory("slow", seconds={"total": 2.0}, context={})
+        if enforce is not None:
+            monkeypatch.setenv("REPRO_TRAJECTORY_ENFORCE", enforce)
+        assert main() == code
+        assert "1 regression(s) found" in capsys.readouterr().out
+
+
+class TestExactCounters:
+    """``EXACT_COUNTERS``: deterministic counters must equal HEAD's."""
+
+    COMMITTED = {
+        "area": "blocks",
+        "context": {"smoke": True},
+        "counters": {"candidates": 1048, "rows": 2939, "speedup": 57.6},
+    }
+
+    @pytest.fixture
+    def committed(self, trajectory_dir, monkeypatch):
+        import benchmarks.trajectory as trajectory
+
+        baselines = {"BENCH_blocks.json": self.COMMITTED}
+        monkeypatch.setattr(
+            trajectory, "_committed_version",
+            lambda path: baselines.get(path.name),
+        )
+        monkeypatch.setattr(
+            trajectory, "EXACT_COUNTERS", {"blocks": ("candidates", "rows")}
+        )
+        return trajectory_dir
+
+    def emit(self, counters, context=None):
+        emit_trajectory(
+            "blocks", counters=counters,
+            context=context if context is not None else {"smoke": True},
+        )
+
+    def test_equal_counters_pass_and_are_printed(self, committed, capsys):
+        # speedup is a timing: not named, so its change is not checked
+        self.emit({"candidates": 1048, "rows": 2939, "speedup": 12.0})
+        capsys.readouterr()
+        assert main() == 0
+        out = capsys.readouterr().out
+        assert "BENCH_blocks.json counters equal HEAD" in out
+        assert "'candidates': 1048" in out
+
+    def test_every_changed_counter_fails_whatever_the_tolerance(
+        self, committed, capsys
+    ):
+        # one fewer: far inside the timing tolerance, still a failure
+        self.emit({"candidates": 1047, "rows": 2938})
+        assert main() == 1
+        out = capsys.readouterr().out
+        assert "blocks: counter candidates changed (1048 -> 1047)" in out
+        assert "blocks: counter rows changed (2939 -> 2938)" in out
+
+    def test_a_context_change_fails_instead_of_passing_vacuously(
+        self, committed, capsys
+    ):
+        self.emit({"candidates": 1048, "rows": 2939}, context={"smoke": False})
+        assert main() == 1
+        out = capsys.readouterr().out
+        assert out.count("smoke: True -> False); not comparable") == 1
+
+    def test_a_missing_counter_fails(self, committed, capsys):
+        self.emit({"rows": 2939})
+        assert main() == 1
+        assert "counter candidates missing (1048 -> None)" in (
+            capsys.readouterr().out
+        )
+
+
+@pytest.mark.parametrize("area", sorted(EXACT_COUNTERS))
+def test_committed_baselines_carry_the_exact_counters(area):
+    """Every counter the gate names is in the committed baseline, so a
+    renamed counter fails here rather than only in CI."""
+    path = Path(__file__).resolve().parents[1] / f"BENCH_{area}.json"
+    counters = json.loads(path.read_text())["counters"]
+    assert set(EXACT_COUNTERS[area]) <= set(counters)
