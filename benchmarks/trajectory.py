@@ -65,6 +65,10 @@ REGRESSION_TOLERANCE = 0.20
 EXACT_COUNTERS: dict[str, tuple[str, ...]] = {
     "streaming": ("delta_candidates", "full_candidates"),
     "disk_blocking": ("candidates", "rows_spilled"),
+    "serving": ("requests", "cache_hits", "computations"),
+    "graph": ("nodes", "edges", "clusters"),
+    "kernels": ("pairs",),
+    "lsh_blocking": ("default_candidates", "pairs_completeness", "reduction_ratio"),
 }
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _SCHEMA_VERSION = 1

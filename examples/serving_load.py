@@ -5,8 +5,8 @@ fires concurrent clients at the expensive evaluation routes, and shows
 what the serving layer (repro.serving) did about it: cold requests
 compute once, warm requests are served from the read-through payload
 cache, concurrent identical requests coalesce into a single
-computation, and a registry write invalidates exactly the touched
-dataset's entries.
+computation, and a registry write changes the cache key of the tables
+it affects, so the next read computes the new table.
 
 Run with::
 
@@ -82,18 +82,22 @@ def main() -> None:
             f"cache hits {stats['cache']['hits']}"
         )
 
-        # -- 3. a registry write invalidates the dataset's entries -----------
+        # -- 3. a registry write changes the key; the next read computes -----
+        # The table's key names its experiments, so registering one
+        # more moves the key and no entry has to be dropped.
+        computed = stats["computations"]
         platform.add_experiment(
             dataset, Experiment([("p1", "p2", 0.9)], name="run-b")
         )
         refreshed = fetch(server.port, path)
         stats = fetch(server.port, "/stats")["serving"]
         print(
-            f"registered 'run-b' -> invalidations "
-            f"{stats['cache']['invalidations']}, metrics table now covers "
-            f"{sorted(refreshed['metrics'])} "
-            f"(computations {stats['computations']})"
+            f"registered 'run-b' -> new key, computations "
+            f"{computed} -> {stats['computations']}, metrics table now "
+            f"covers {sorted(refreshed['metrics'])}"
         )
+        assert stats["computations"] == computed + 1
+        assert sorted(refreshed["metrics"]) == ["run-a", "run-b"]
     print("shut down cleanly; socket released")
 
 

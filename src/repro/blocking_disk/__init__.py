@@ -9,22 +9,14 @@ are identical to the in-memory blockers of
 Memory stays bounded only when the caller works piecewise: spill a
 corpus slice by slice with :func:`spill_records`, then consume
 :func:`stream_candidates` chunk by chunk without building the set.
-:func:`run_disk_blocking` and the ``disk_*`` blockers fold the chunks
-into the same ``set[Pair]`` the in-memory blockers return, so they save
-no memory and run slower; they serve identity checks and runs whose
-rows should stay in a store's tables.  This package is a library, not
-a mode of :class:`~repro.matching.pipeline.MatchingPipeline` or of
-streaming sessions, which always block in memory.
+This package is a library, not a mode of
+:class:`~repro.matching.pipeline.MatchingPipeline` or of streaming
+sessions, which always block in memory.
 """
 
 from repro.blocking_disk.blockers import (
     DiskBlockingPlan,
-    disk_lsh_blocking,
-    disk_sorted_neighborhood,
-    disk_standard_blocking,
-    disk_token_blocking,
     lsh_plan,
-    run_disk_blocking,
     sorted_neighborhood_plan,
     spill_records,
     standard_plan,
@@ -42,12 +34,7 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DiskBlockingPlan",
     "DiskBlockingStore",
-    "disk_lsh_blocking",
-    "disk_sorted_neighborhood",
-    "disk_standard_blocking",
-    "disk_token_blocking",
     "lsh_plan",
-    "run_disk_blocking",
     "sorted_neighborhood_plan",
     "spill_records",
     "standard_plan",

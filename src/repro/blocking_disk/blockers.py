@@ -5,9 +5,11 @@ into the :class:`~repro.blocking_disk.store.DiskBlockingStore` tables:
 an ``emit`` function mapping each record to its block keys (plus, for
 MinHash-LSH, the packed signature blob to persist), the purge cap, and
 — for the sorted-neighborhood method — the window the SQL join applies.
-:func:`run_disk_blocking` executes a plan end-to-end and returns the
-same candidate set the in-memory blocker would, having never held more
-than one spill batch and one result chunk in Python memory.
+:func:`spill_records` writes a record stream's rows (callable once per
+corpus slice) and :func:`stream_candidates` reads the run's candidate
+pairs back in bounded, sorted chunks; together they yield the same
+candidate set the in-memory blocker would, without holding more than
+one spill batch and one result chunk in Python memory.
 
 Identity with the in-memory path is by construction, not coincidence:
 plans reuse the exact key emitters of the delta-blocking machinery
@@ -39,11 +41,6 @@ __all__ = [
     "lsh_plan",
     "spill_records",
     "stream_candidates",
-    "run_disk_blocking",
-    "disk_standard_blocking",
-    "disk_token_blocking",
-    "disk_sorted_neighborhood",
-    "disk_lsh_blocking",
 ]
 
 Emit = Callable[[Record], tuple[Sequence[str], bytes | None]]
@@ -208,81 +205,3 @@ def stream_candidates(
         window=plan.window,
         chunk_size=chunk_size,
     )
-
-
-def run_disk_blocking(
-    plan: DiskBlockingPlan,
-    records: Iterable[Record],
-    store: DiskBlockingStore | None = None,
-) -> set[Pair]:
-    """Execute a plan end-to-end: spill, join, fold chunks into a set.
-
-    Without ``store`` a scratch database is created and removed — the
-    drop-in replacement for calling the in-memory blocker.  The result
-    *set* is materialized (downstream scoring needs it); the bounded-
-    memory spill/join machinery is reusable piecewise via
-    :func:`spill_records` and :func:`stream_candidates` where even the
-    candidate set must stay on disk.
-    """
-    owns = store is None
-    store = store or DiskBlockingStore()
-    try:
-        run_id = store.begin_run(plan.scheme, dict(plan.config))
-        spill_records(store, run_id, plan, records)
-        candidates: set[Pair] = set()
-        for chunk in stream_candidates(store, run_id, plan):
-            candidates.update(chunk)
-        return candidates
-    finally:
-        if owns:
-            store.close()
-
-
-# -- direct counterparts of the batch blockers ----------------------------------
-
-
-def disk_standard_blocking(
-    dataset: Iterable[Record],
-    key: BlockingKey,
-    store: DiskBlockingStore | None = None,
-) -> set[Pair]:
-    """Disk-executed :func:`~repro.matching.blocking.standard_blocking`."""
-    return run_disk_blocking(standard_plan(key), dataset, store=store)
-
-
-def disk_token_blocking(
-    dataset: Iterable[Record],
-    attributes: Iterable[str] | None = None,
-    min_token_length: int = 3,
-    max_block_size: int | None = 200,
-    store: DiskBlockingStore | None = None,
-) -> set[Pair]:
-    """Disk-executed :func:`~repro.matching.blocking.token_blocking`."""
-    return run_disk_blocking(
-        token_plan(attributes, min_token_length, max_block_size),
-        dataset,
-        store=store,
-    )
-
-
-def disk_sorted_neighborhood(
-    dataset: Iterable[Record],
-    key: BlockingKey,
-    window: int = 5,
-    store: DiskBlockingStore | None = None,
-) -> set[Pair]:
-    """Disk-executed :func:`~repro.matching.blocking.sorted_neighborhood`
-    (the ``ROW_NUMBER()`` window-function join)."""
-    return run_disk_blocking(
-        sorted_neighborhood_plan(key, window), dataset, store=store
-    )
-
-
-def disk_lsh_blocking(
-    dataset: Iterable[Record],
-    config: LshConfig | None = None,
-    store: DiskBlockingStore | None = None,
-) -> set[Pair]:
-    """Disk-executed :func:`~repro.matching.lsh.lsh_blocking` — band
-    buckets and signatures persisted, the pair join pushed down."""
-    return run_disk_blocking(lsh_plan(config), dataset, store=store)

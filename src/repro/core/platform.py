@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.core.confusion import ConfusionMatrix
 from repro.core.diagrams import DiagramPoint, compute_diagram_optimized
 from repro.core.experiment import Experiment, GoldStandard
-from repro.core.notify import ListenerSet
 from repro.core.records import Dataset
 
 __all__ = ["FrostPlatform", "BenchmarkEntry"]
@@ -43,7 +42,6 @@ class FrostPlatform:
 
     def __init__(self) -> None:
         self._entries: dict[str, BenchmarkEntry] = {}
-        self._listeners = ListenerSet()
         # Guards registry *mutation* and dict-iterating reads (the
         # sorted name listings): the threaded HTTP server reads while
         # engine workers register pipeline results, and a dict that
@@ -53,25 +51,6 @@ class FrostPlatform:
 
     # -- registry -------------------------------------------------------------------
 
-    def subscribe(self, listener) -> None:
-        """Call ``listener(dataset_name)`` after every registry write.
-
-        This is how read-through caches above the platform (the serving
-        layer's :class:`~repro.serving.cache.MetricResultCache`) stay
-        correct: *any* write path — direct Python calls, the HTTP API,
-        or the engine registering a pipeline result — notifies every
-        subscriber, which invalidates the dataset's cached payloads.
-
-        Bound-method listeners are held through weak references
-        (:class:`~repro.core.notify.ListenerSet`), so an abandoned
-        subscriber (a dropped serving layer) detaches itself instead of
-        being pinned by the platform forever.
-        """
-        self._listeners.subscribe(listener)
-
-    def _notify(self, dataset_name: str) -> None:
-        self._listeners.notify(dataset_name)
-
     def add_dataset(self, dataset: Dataset) -> None:
         """Register a dataset under its name."""
         with self._registry_lock:
@@ -80,7 +59,6 @@ class FrostPlatform:
                     f"dataset {dataset.name!r} is already registered"
                 )
             self._entries[dataset.name] = BenchmarkEntry(dataset=dataset)
-        self._notify(dataset.name)
 
     def add_gold(self, dataset_name: str, gold: GoldStandard) -> None:
         """Register a gold standard for a dataset."""
@@ -92,7 +70,6 @@ class FrostPlatform:
                     f"{dataset_name!r}"
                 )
             entry.golds[gold.name] = gold
-        self._notify(dataset_name)
 
     def add_experiment(self, dataset_name: str, experiment: Experiment) -> None:
         """Register an experiment (a matching result) for a dataset."""
@@ -104,7 +81,6 @@ class FrostPlatform:
                     f"{dataset_name!r}"
                 )
             entry.experiments[experiment.name] = experiment
-        self._notify(dataset_name)
 
     def dataset_names(self) -> list[str]:
         """Names of all registered datasets, sorted."""
@@ -137,6 +113,21 @@ class FrostPlatform:
                 f"no experiment {experiment_name!r} for {dataset_name!r}; "
                 f"known: {known}"
             ) from None
+
+    def resolve(
+        self, dataset_name: str, name: str
+    ) -> Experiment | GoldStandard:
+        """The experiment named ``name``, else the gold of that name.
+
+        An experiment shadows a gold standard of the same name.
+        """
+        entry = self._entry(dataset_name)
+        if name in entry.experiments:
+            return entry.experiments[name]
+        if name in entry.golds:
+            return entry.golds[name]
+        known = ", ".join(sorted([*entry.experiments, *entry.golds]))
+        raise KeyError(f"no experiment or gold named {name!r}; known: {known}")
 
     def experiment_names(self, dataset_name: str) -> list[str]:
         """Names of a dataset's experiments, sorted."""
@@ -249,25 +240,19 @@ class FrostPlatform:
         inputs: Mapping[str, str] | Sequence[str],
     ):
         """A :class:`~repro.exploration.setops.SetComparison` over named
-        experiments and/or golds of one dataset.
+        experiments and/or golds of one dataset (see :meth:`resolve`).
 
         ``inputs`` is either a list of experiment/gold names or a
         mapping ``{display name: registered name}``.
         """
         from repro.exploration.setops import SetComparison
 
-        entry = self._entry(dataset_name)
-
-        def resolve(name: str):
-            if name in entry.experiments:
-                return entry.experiments[name]
-            if name in entry.golds:
-                return entry.golds[name]
-            known = ", ".join(sorted([*entry.experiments, *entry.golds]))
-            raise KeyError(f"no experiment or gold named {name!r}; known: {known}")
-
-        if isinstance(inputs, Mapping):
-            resolved = {display: resolve(name) for display, name in inputs.items()}
-        else:
-            resolved = {name: resolve(name) for name in inputs}
-        return SetComparison(entry.dataset, resolved)
+        if not isinstance(inputs, Mapping):
+            inputs = {name: name for name in inputs}
+        return SetComparison(
+            self.dataset(dataset_name),
+            {
+                display: self.resolve(dataset_name, name)
+                for display, name in inputs.items()
+            },
+        )

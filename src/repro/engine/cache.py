@@ -9,7 +9,8 @@ cached results survive process restarts and can be shared between CLI
 invocations and the HTTP server.
 
 Keys are the digests produced by :func:`repro.engine.jobs.job_cache_key`
-(dataset + config + gold-standard content), values are JSON documents.
+over every input a job reads (artifact contents, the names its payload
+prints, its config), values are JSON documents.
 
 The in-memory tier is factored out as :class:`LruTier` so other caches
 — notably the serving layer's
@@ -53,8 +54,8 @@ class LruTier:
     """A bounded mapping with least-recently-used eviction.
 
     Not thread-safe by itself — callers hold their own lock around
-    every method, which lets them update adjacent bookkeeping (counters,
-    tag indexes) atomically with the tier.
+    every method, which lets them update their counters atomically with
+    the tier.
     """
 
     def __init__(self, max_entries: int) -> None:
@@ -71,11 +72,8 @@ class LruTier:
         return self._entries[key]
 
     def put(self, key: str, value: object) -> list[tuple[str, object]]:
-        """Store ``value`` under ``key``; returns the evicted entries.
-
-        The evicted ``(key, value)`` pairs (oldest first) let callers
-        clean up side indexes keyed by the same keys.
-        """
+        """Store ``value`` under ``key``; returns the evicted
+        ``(key, value)`` pairs, oldest first."""
         self._entries[key] = value
         self._entries.move_to_end(key)
         evicted: list[tuple[str, object]] = []
@@ -83,18 +81,11 @@ class LruTier:
             evicted.append(self._entries.popitem(last=False))
         return evicted
 
-    def pop(self, key: str) -> object:
-        """Remove and return the value under ``key``, or :data:`MISS`."""
-        return self._entries.pop(key, MISS)
-
     def clear(self) -> None:
         self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
 
 
 class ResultCache:

@@ -10,9 +10,10 @@ they can be built from CLI flags, from JSON request bodies
 The module also provides the *content fingerprints* that make results
 content-addressed: a job's cache key is a SHA-256 digest over the kind,
 the configuration, and digests of the dataset, gold standard, and
-experiment **contents** (not their registry names).  Two jobs that would
-compute the same numbers hash to the same key, so renames and platform
-restarts still hit the cache.
+experiment **contents**, so platform restarts still hit the cache.  A
+job whose payload prints a registry name puts that name in its token
+too (see :mod:`repro.engine.runner`): equal contents under another
+name are a different payload.
 """
 
 from __future__ import annotations

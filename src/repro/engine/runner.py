@@ -610,12 +610,16 @@ class ExperimentEngine:
             return list(names)
         return self.platform.experiment_names(dataset_name)
 
+    # The job tokens pair each name the payload prints with the content
+    # it names: equal contents under another name must not hit.
+
     def _metrics_token(self, params: Mapping[str, object]) -> object:
         dataset_name = params["dataset"]
+        gold_name = params["gold"]
         names = self._resolve_experiments(dataset_name, params.get("experiments"))
         return {
-            "dataset": self.platform.dataset(dataset_name),
-            "gold": self.platform.gold(dataset_name, params["gold"]),
+            "dataset": [dataset_name, self.platform.dataset(dataset_name)],
+            "gold": [gold_name, self.platform.gold(dataset_name, gold_name)],
             "experiments": [
                 [name, self.platform.experiment(dataset_name, name)]
                 for name in names
@@ -660,12 +664,15 @@ class ExperimentEngine:
 
     def _diagram_token(self, params: Mapping[str, object]) -> object:
         dataset_name = params["dataset"]
+        experiment_name = params["experiment"]
+        gold_name = params["gold"]
         return {
-            "dataset": self.platform.dataset(dataset_name),
-            "experiment": self.platform.experiment(
-                dataset_name, params["experiment"]
-            ),
-            "gold": self.platform.gold(dataset_name, params["gold"]),
+            "dataset": [dataset_name, self.platform.dataset(dataset_name)],
+            "experiment": [
+                experiment_name,
+                self.platform.experiment(dataset_name, experiment_name),
+            ],
+            "gold": [gold_name, self.platform.gold(dataset_name, gold_name)],
             "samples": int(params.get("samples", 100)),
         }
 

@@ -62,16 +62,17 @@ full — gets a 503 with a ``Retry-After`` header instead of a 400 or
 Expensive GET evaluations (metrics, diagram, profile, categorize,
 timeline, intersection) are served through the concurrent serving
 layer (:mod:`repro.serving`): payloads are cached read-through under
-content fingerprints, concurrent identical requests coalesce into one
-computation, and registry writes invalidate the touched dataset's
-entries.  ``GET /stats`` exposes the cache and coalescing counters.
+a key naming every input they read (names and content fingerprints),
+so a registry write changes the key of each payload it affects, and
+concurrent identical requests coalesce into one computation.
+``GET /stats`` exposes the cache and coalescing counters.
 
 The ``/graph`` routes front the match-graph subsystem
 (:mod:`repro.graph`): graphs persisted in the store's adjacency tables
 — by pipeline builds or incrementally by streaming sessions with
 ``"graph": true`` — are served through the same read-through cache,
-tagged ``graph:{name}`` so every graph write (e.g. a stream batch)
-invalidates the graph's cached traversal payloads.
+keyed on the graph's meta row, which every graph write (e.g. a stream
+batch) moves.
 """
 
 from __future__ import annotations

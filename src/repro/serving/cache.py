@@ -3,16 +3,14 @@
 The serving layer's hot path is a GET for a metrics table, diagram, or
 error categorization that was already computed for another client.
 :class:`MetricResultCache` keeps those JSON payloads in a bounded LRU
-keyed by the content fingerprints of
-:func:`repro.engine.jobs.job_cache_key` — (dataset, gold, experiment,
-metric, config) contents, not registry names — so identical requests
-hit regardless of which client asked first.
+keyed by :func:`repro.engine.jobs.job_cache_key` digests over every
+input a payload reads, so identical requests hit regardless of which
+client asked first.
 
-Unlike the engine's :class:`~repro.engine.cache.ResultCache`, entries
-here are *tagged* with the dataset they were derived from: a write to
-the platform (new experiment, new gold standard) explicitly invalidates
-every payload of that dataset, so a long-running server never serves a
-table that silently omits the experiment registered a millisecond ago.
+An entry is never dropped because of a write.  The registry is
+append-only and every graph write moves the graph's meta row, so a
+write changes the key of each payload it affects; the next read
+computes under the new key, and the old entry ages out of the LRU.
 """
 
 from __future__ import annotations
@@ -37,14 +35,10 @@ _SERVING_PUTS = get_metrics().counter(
 _SERVING_EVICTIONS = get_metrics().counter(
     "frost_serving_cache_evictions_total", "Serving payload-cache evictions"
 )
-_SERVING_INVALIDATIONS = get_metrics().counter(
-    "frost_serving_cache_invalidations_total",
-    "Serving payloads dropped by write invalidation",
-)
 
 
 class MetricResultCache:
-    """Bounded LRU of served payloads with tag-scoped invalidation.
+    """Bounded LRU of served payloads.
 
     Parameters
     ----------
@@ -58,15 +52,10 @@ class MetricResultCache:
     def __init__(self, max_entries: int = 1024) -> None:
         self._tier = LruTier(max_entries)
         self._lock = threading.Lock()
-        # tag -> keys cached under it, and the reverse, kept in sync so
-        # both invalidation and eviction stay O(affected entries).
-        self._tag_keys: dict[str, set[str]] = {}
-        self._key_tag: dict[str, str] = {}
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.evictions = 0
-        self.invalidations = 0
 
     @property
     def max_entries(self) -> int:
@@ -100,66 +89,15 @@ class MetricResultCache:
                 _SERVING_HITS.inc()
             return payload
 
-    def put(self, key: str, payload: object, tag: str | None = None) -> None:
-        """Cache ``payload`` under ``key``, optionally tagged.
-
-        ``tag`` names the invalidation scope (the dataset the payload
-        was computed from); :meth:`invalidate` drops every key of a
-        tag at once.
-        """
+    def put(self, key: str, payload: object) -> None:
+        """Cache ``payload`` under ``key``."""
         with self._lock:
             self.puts += 1
             _SERVING_PUTS.inc()
-            self._forget_tag(key)
-            if tag is not None:
-                self._key_tag[key] = tag
-                self._tag_keys.setdefault(tag, set()).add(key)
-            for evicted_key, _ in self._tier.put(key, payload):
-                self.evictions += 1
-                _SERVING_EVICTIONS.inc()
-                self._forget_tag(evicted_key)
-
-    def invalidate(self, tag: str) -> int:
-        """Drop every payload tagged ``tag``; returns how many."""
-        with self._lock:
-            keys = self._tag_keys.pop(tag, set())
-            for key in keys:
-                self._tier.pop(key)
-                self._key_tag.pop(key, None)
-            self.invalidations += len(keys)
-            _SERVING_INVALIDATIONS.inc(len(keys))
-            return len(keys)
-
-    def invalidate_key(self, key: str) -> bool:
-        """Drop one payload by exact key; returns whether it existed."""
-        with self._lock:
-            existed = self._tier.pop(key) is not MISS
-            if existed:
-                self._forget_tag(key)
-                self.invalidations += 1
-                _SERVING_INVALIDATIONS.inc()
-            return existed
-
-    def clear(self) -> int:
-        """Drop everything (counters are kept); returns how many."""
-        with self._lock:
-            dropped = len(self._tier)
-            self._tier.clear()
-            self._tag_keys.clear()
-            self._key_tag.clear()
-            self.invalidations += dropped
-            _SERVING_INVALIDATIONS.inc(dropped)
-            return dropped
-
-    def _forget_tag(self, key: str) -> None:
-        """Drop ``key`` from the tag index (lock held by caller)."""
-        tag = self._key_tag.pop(key, None)
-        if tag is not None:
-            keys = self._tag_keys.get(tag)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._tag_keys[tag]
+            evicted = len(self._tier.put(key, payload))
+            self.evictions += evicted
+            if evicted:
+                _SERVING_EVICTIONS.inc(evicted)
 
     def __len__(self) -> int:
         with self._lock:
@@ -175,5 +113,4 @@ class MetricResultCache:
                 "misses": self.misses,
                 "puts": self.puts,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }

@@ -7,18 +7,20 @@ categorizations, threshold timelines, set intersections — flows
 through :meth:`_fetch`, which gives it three serving properties:
 
 * **read-through caching** — payloads are cached in a
-  :class:`~repro.serving.cache.MetricResultCache` keyed by *content*
-  fingerprints (:func:`repro.engine.jobs.job_cache_key` over the
-  dataset, gold, experiment, and config contents), so renaming or
-  re-registering identical artifacts still hits;
+  :class:`~repro.serving.cache.MetricResultCache` under a key that
+  names every input the payload reads: the dataset (or graph) name,
+  the content fingerprints of the dataset, gold and experiments
+  (:func:`repro.engine.jobs.job_cache_key`), the name of every
+  artifact the payload prints, and the request's parameters;
 * **request coalescing** — concurrent identical requests share one
   in-flight computation via a
   :class:`~repro.serving.coalesce.RequestCoalescer` instead of
-  stampeding the engine;
-* **write invalidation** — the layer subscribes to
-  :meth:`FrostPlatform.subscribe`, so any registry write (a new
-  experiment, a new gold standard) drops the touched dataset's cached
-  payloads before the next read.
+  stampeding the engine.
+
+The key is the only validity rule.  The registry is append-only and
+every graph write moves the graph's meta row (part of each graph key),
+so a write changes the key of every payload it affects — whichever
+process or store handle made it — and the next read computes afresh.
 
 Payloads returned here are exactly the JSON documents the API used to
 compute inline; moving them behind the cache changes latency, never
@@ -63,8 +65,7 @@ class ServingLayer:
     Parameters
     ----------
     platform:
-        The registry the evaluations read from.  The layer subscribes
-        to its write notifications for cache invalidation.
+        The registry the evaluations read from.
     max_entries:
         LRU capacity of the payload cache.
     """
@@ -78,32 +79,15 @@ class ServingLayer:
         self.computations = 0
         self._store = None
         self._graph_lock = threading.Lock()
-        # name -> (updated_at, batch_count, MatchGraph): rehydrated
-        # graphs kept hot between requests, dropped on any write
+        # name -> (stamp, MatchGraph): rehydrated graphs kept hot
+        # between requests, reloaded once the stored meta moves
         self._graphs: dict[str, tuple] = {}
-        platform.subscribe(self.invalidate)
 
     # -- plumbing -----------------------------------------------------------------
 
-    def invalidate(self, dataset_name: str) -> int:
-        """Drop every cached payload derived from ``dataset_name``."""
-        return self.cache.invalidate(dataset_name)
-
     def attach_store(self, store) -> None:
-        """Serve match graphs out of ``store``.
-
-        Subscribes to the store's graph-write notifications so a
-        streaming ingest (or any other graph write) invalidates the
-        graph's cached traversal payloads — the graph counterpart of
-        the platform subscription above.
-        """
+        """Serve match graphs out of ``store``."""
         self._store = store
-        store.subscribe_graph(self._invalidate_graph)
-
-    def _invalidate_graph(self, graph_name: str) -> None:
-        with self._graph_lock:
-            self._graphs.pop(graph_name, None)
-        self.cache.invalidate(f"graph:{graph_name}")
 
     def stats(self) -> dict[str, object]:
         """Serving counters: requests, computations, cache, coalescer."""
@@ -117,38 +101,37 @@ class ServingLayer:
             "coalescer": self.coalescer.stats(),
         }
 
-    def _fetch(self, kind: str, dataset_name: str, token: object, compute):
+    def _fetch(self, kind: str, scope: str, token: object, compute):
         """Serve ``compute()`` through the cache and the coalescer.
 
-        ``token`` is hashed with the content fingerprints of any domain
-        objects it carries, so the key identifies the *inputs* of the
-        computation; ``dataset_name`` tags the entry for invalidation.
-        The fetch runs in a ``serving.fetch`` span, whose seconds feed
-        ``frost_serving_request_seconds``.
+        The key hashes ``scope`` (the dataset or graph name) with
+        ``token``, whose domain objects stand in by their content
+        fingerprints, so it identifies every *input* of the
+        computation.  The fetch runs in a ``serving.fetch`` span, whose
+        seconds feed ``frost_serving_request_seconds``.
         """
         with self._counter_lock:
             self.requests += 1
         _SERVING_REQUESTS.inc()
 
         def fill():
-            # Re-check under the flight: a follower of a finished
-            # leader re-entering, or an invalidation race, may have
-            # repopulated the key while this thread queued for it.
+            # Re-check under the flight: the leader of an earlier
+            # flight may have landed the key while this thread queued.
             cached = self.cache.recheck(key)
             if cached is not MISS:
                 return cached
             with self._counter_lock:
                 self.computations += 1
             _SERVING_COMPUTATIONS.inc()
-            _LOG.debug("computing %s payload for dataset %s", kind, dataset_name)
+            _LOG.debug("computing %s payload for %s", kind, scope)
             payload = compute()
-            self.cache.put(key, payload, tag=dataset_name)
+            self.cache.put(key, payload)
             return payload
 
         fetch = _tracing.span("serving.fetch", kind=kind)
         try:
             with fetch:
-                key = job_cache_key(kind, token)
+                key = job_cache_key(kind, [scope, token])
                 payload = self.cache.get(key)
                 if payload is not MISS:
                     return payload
@@ -174,7 +157,7 @@ class ServingLayer:
         )
         token = {
             "dataset": platform.dataset(dataset_name),
-            "gold": platform.gold(dataset_name, gold_name),
+            "gold": [gold_name, platform.gold(dataset_name, gold_name)],
             "experiments": [
                 [name, platform.experiment(dataset_name, name)] for name in names
             ],
@@ -206,8 +189,11 @@ class ServingLayer:
         platform = self.platform
         token = {
             "dataset": platform.dataset(dataset_name),
-            "experiment": platform.experiment(dataset_name, experiment_name),
-            "gold": platform.gold(dataset_name, gold_name),
+            "experiment": [
+                experiment_name,
+                platform.experiment(dataset_name, experiment_name),
+            ],
+            "gold": [gold_name, platform.gold(dataset_name, gold_name)],
             "samples": samples,
         }
 
@@ -344,14 +330,24 @@ class ServingLayer:
     ) -> dict:
         """The set-selection payload of ``GET /datasets/{d}/intersection``."""
         platform = self.platform
+        dataset = platform.dataset(dataset_name)
+        # What each name resolves to, not just the name: registering an
+        # experiment under a gold's name moves the name to the experiment.
+        sets = {
+            name: platform.resolve(dataset_name, name)
+            for name in include + exclude
+        }
         token = {
-            "dataset": platform.dataset(dataset_name),
+            "dataset": dataset,
             "include": include,
             "exclude": exclude,
+            "sets": sets,
         }
 
         def compute() -> dict:
-            comparison = platform.compare_sets(dataset_name, include + exclude)
+            from repro.exploration.setops import SetComparison
+
+            comparison = SetComparison(dataset, sets)
             pairs = comparison.select(include=include, exclude=exclude)
             return {
                 "include": include,
@@ -395,15 +391,15 @@ class ServingLayer:
         return graph
 
     def _fetch_graph(self, kind: str, name: str, params: dict, compute):
-        """:meth:`_fetch` with the graph's meta folded into the key.
+        """:meth:`_fetch` with the graph's meta row folded into the key.
 
-        The meta row changes on every graph write, so stale keys die
-        naturally even before the tag invalidation lands.
+        Every graph write moves the meta row, so the next read after a
+        write misses and computes on the graph as stored now.
         """
         meta = self._graph_meta(name)
-        token = {"graph": name, "meta": meta, **params}
+        token = {"meta": meta, **params}
         return self._fetch(
-            kind, f"graph:{name}", token, lambda: compute(self._graph(name, meta))
+            kind, name, token, lambda: compute(self._graph(name, meta))
         )
 
     def graph_summary_payload(self, name: str) -> dict:

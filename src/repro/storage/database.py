@@ -22,7 +22,6 @@ from pathlib import Path
 from repro.blocking_disk.store import BLOCKING_SCHEMA, DiskBlockingStore
 from repro.core.clustering import Clustering
 from repro.core.experiment import Experiment, GoldStandard, Match
-from repro.core.notify import ListenerSet
 from repro.core.pairs import make_pair
 from repro.core.records import Dataset, Record
 from repro.telemetry.metrics import get_metrics
@@ -237,7 +236,6 @@ class FrostStore:
         self._pool: list[tuple[threading.Thread, sqlite3.Connection]] = []
         self._pool_lock = threading.Lock()
         self._closed = False
-        self._graph_listeners = ListenerSet()
         # The creating thread's connection doubles as the schema
         # bootstrapper (and, for :memory:, as the one shared handle).
         connection = self._connect()
@@ -861,16 +859,6 @@ class FrostStore:
         """
         return TelemetryStore(connection=self._connection, max_runs=max_runs)
 
-    def subscribe_graph(self, listener) -> None:
-        """Call ``listener(graph_name)`` after every graph write.
-
-        The graph counterpart of :meth:`FrostPlatform.subscribe`: the
-        serving layer subscribes here so a streaming ingest (or any
-        other graph write) invalidates the graph's cached traversal
-        payloads before the next read.  Bound methods are held weakly.
-        """
-        self._graph_listeners.subscribe(listener)
-
     def create_graph(self, name: str, threshold: float) -> int:
         """Register an empty match graph under ``name``."""
         with self._lock, self._connection:
@@ -883,7 +871,6 @@ class FrostStore:
             except sqlite3.IntegrityError:
                 raise StorageError(f"graph {name!r} already stored") from None
             graph_id = cursor.lastrowid
-        self._graph_listeners.notify(name)
         return graph_id
 
     def delete_graph(self, name: str) -> None:
@@ -897,7 +884,6 @@ class FrostStore:
             self._connection.execute(
                 "DELETE FROM graphs WHERE graph_id = ?", (graph_id,)
             )
-        self._graph_listeners.notify(name)
 
     def graph_names(self) -> list[str]:
         """Names of all stored graphs, sorted."""
@@ -990,7 +976,6 @@ class FrostStore:
                 "+ ? WHERE graph_id = ?",
                 (time.time(), len(nodes), len(edges), graph_id),
             )
-        self._graph_listeners.notify(name)
 
     def load_graph(self, name: str) -> dict:
         """Everything stored for graph ``name`` as one document.

@@ -1,4 +1,9 @@
-"""Disk-executed blockers: set identity with the in-memory path."""
+"""Disk-executed plans: set identity with the in-memory blockers.
+
+Each plan is spilled with ``spill_records`` and its candidates read
+back chunk by chunk with ``stream_candidates``; the union of the chunks
+must equal the in-memory blocker's candidate set.
+"""
 
 import subprocess
 import sys
@@ -8,13 +13,11 @@ import pytest
 
 from repro.blocking_disk import (
     DiskBlockingStore,
-    disk_lsh_blocking,
-    disk_sorted_neighborhood,
-    disk_standard_blocking,
-    disk_token_blocking,
     lsh_plan,
-    run_disk_blocking,
     sorted_neighborhood_plan,
+    spill_records,
+    standard_plan,
+    stream_candidates,
     token_plan,
 )
 from repro.core import Dataset, Record
@@ -23,6 +26,18 @@ from repro.matching import blocking
 from repro.matching.lsh import LshConfig, lsh_blocking
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def streamed(plan, records) -> set:
+    """The plan's candidates: one spill, then every streamed chunk."""
+    with DiskBlockingStore() as store:
+        run_id = store.begin_run(plan.scheme, dict(plan.config))
+        spill_records(store, run_id, plan, records)
+        return {
+            pair
+            for chunk in stream_candidates(store, run_id, plan)
+            for pair in chunk
+        }
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +71,13 @@ class TestIdentity:
                 blocking.first_token_key("name" if dataset is messy else "last_name"),
                 blocking.soundex_key("name" if dataset is messy else "last_name"),
             ):
-                assert disk_standard_blocking(dataset, key) == (
+                assert streamed(standard_plan(key), dataset) == (
                     blocking.standard_blocking(dataset, key)
                 )
 
     def test_token_blocking(self, people, messy):
         for dataset, cap in ((people, 40), (people, None), (messy, 3)):
-            assert disk_token_blocking(dataset, max_block_size=cap) == (
+            assert streamed(token_plan(max_block_size=cap), dataset) == (
                 blocking.token_blocking(dataset, max_block_size=cap)
             )
 
@@ -71,29 +86,29 @@ class TestIdentity:
             key = blocking.first_token_key(
                 "name" if dataset is messy else "last_name"
             )
-            assert disk_sorted_neighborhood(dataset, key, window=window) == (
+            assert streamed(sorted_neighborhood_plan(key, window), dataset) == (
                 blocking.sorted_neighborhood(dataset, key, window=window)
             )
 
     def test_lsh_blocking(self, people):
         config = LshConfig(num_perm=32, bands=8, max_block_size=25)
-        assert disk_lsh_blocking(people, config) == (
+        assert streamed(lsh_plan(config), people) == (
             lsh_blocking(people, config)
         )
 
     def test_empty_dataset(self):
         empty = Dataset([])
         key = blocking.first_token_key("name")
-        assert disk_standard_blocking(empty, key) == set()
-        assert disk_token_blocking(empty) == set()
-        assert disk_sorted_neighborhood(empty, key, window=3) == set()
-        assert disk_lsh_blocking(empty) == set()
+        assert streamed(standard_plan(key), empty) == set()
+        assert streamed(token_plan(), empty) == set()
+        assert streamed(sorted_neighborhood_plan(key, 3), empty) == set()
+        assert streamed(lsh_plan(), empty) == set()
 
     def test_all_none_keys(self):
         dataset = Dataset([Record(f"r{i}", {"name": None}) for i in range(4)])
         key = blocking.first_token_key("name")
-        assert disk_standard_blocking(dataset, key) == set()
-        assert disk_sorted_neighborhood(dataset, key, window=4) == (
+        assert streamed(standard_plan(key), dataset) == set()
+        assert streamed(sorted_neighborhood_plan(key, 4), dataset) == (
             blocking.sorted_neighborhood(dataset, key, window=4)
         )
 
@@ -103,9 +118,10 @@ class TestPlans:
         config = LshConfig(num_perm=16, bands=4)
         with DiskBlockingStore() as store:
             plan = lsh_plan(config)
-            run_disk_blocking(plan, people, store=store)
+            run_id = store.begin_run(plan.scheme, dict(plan.config))
+            spill_records(store, run_id, plan, people)
             # signatures persisted: 8 bytes per permutation per record
-            blob = store.signature(1, next(iter(people)).record_id)
+            blob = store.signature(run_id, next(iter(people)).record_id)
             assert blob is not None and len(blob) == 16 * 8
 
     def test_window_validation(self):
@@ -131,18 +147,29 @@ class TestHashSeedInvariance:
     """
 
     _SCRIPT = """
-import sys
-from repro.blocking_disk import disk_lsh_blocking, disk_token_blocking
+from repro.blocking_disk import (
+    DiskBlockingStore, lsh_plan, spill_records, stream_candidates, token_plan,
+)
 from repro.datagen import make_person_benchmark
 from repro.matching.blocking import token_blocking
 from repro.matching.lsh import LshConfig, lsh_blocking
 
 dataset = make_person_benchmark(250, seed=77).dataset
+
+
+def streamed(plan):
+    with DiskBlockingStore() as store:
+        run_id = store.begin_run(plan.scheme, dict(plan.config))
+        spill_records(store, run_id, plan, dataset)
+        chunks = stream_candidates(store, run_id, plan)
+        return sorted({pair for chunk in chunks for pair in chunk})
+
+
 config = LshConfig(num_perm=16, bands=4, max_block_size=30)
-disk = sorted(disk_lsh_blocking(dataset, config))
+disk = streamed(lsh_plan(config))
 memory = sorted(lsh_blocking(dataset, config))
 assert disk == memory, "lsh disk/memory diverged in-process"
-disk_t = sorted(disk_token_blocking(dataset, max_block_size=40))
+disk_t = streamed(token_plan(max_block_size=40))
 memory_t = sorted(token_blocking(dataset, max_block_size=40))
 assert disk_t == memory_t, "token disk/memory diverged in-process"
 for pair in disk + disk_t:

@@ -92,3 +92,31 @@ def people_experiment() -> Experiment:
         name="people-run",
         solution="test-solution",
     )
+
+
+@pytest.fixture
+def twin_platform(people_dataset):
+    """Equal contents under two names each: datasets ``one``/``two``,
+    golds ``gold-a``/``gold-b`` and experiments ``run-a``/``run-b``.
+
+    Only a name tells the twins apart, so a cache key that leaves a
+    name out serves one twin's payload for the other.
+    """
+    from repro.core.platform import FrostPlatform
+
+    platform = FrostPlatform()
+    for dataset_name in ("one", "two"):
+        platform.add_dataset(Dataset(list(people_dataset), name=dataset_name))
+        for gold_name in ("gold-a", "gold-b"):
+            platform.add_gold(
+                dataset_name,
+                GoldStandard.from_pairs(
+                    [("p1", "p2"), ("p3", "p4")], name=gold_name
+                ),
+            )
+        for run_name in ("run-a", "run-b"):
+            platform.add_experiment(
+                dataset_name,
+                Experiment([("p1", "p2", 0.95), ("p5", "p6", 0.72)], name=run_name),
+            )
+    return platform

@@ -123,6 +123,34 @@ class TestCacheSemantics:
         second = other.run([JobSpec("metrics", params, job_id="a")])["a"]
         assert first.cache_key != second.cache_key
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("metrics", "dataset"),
+            ("metrics", "gold"),
+            ("diagram", "dataset"),
+            ("diagram", "experiment"),
+            ("diagram", "gold"),
+        ],
+    )
+    def test_equal_contents_under_another_name_print_that_name(
+        self, twin_platform, kind, field
+    ):
+        engine = ExperimentEngine(twin_platform)
+        base = {"dataset": "one", "gold": "gold-a"}
+        if kind == "diagram":
+            base.update(experiment="run-a", samples=3)
+        twins = {
+            "dataset": ("one", "two"),
+            "gold": ("gold-a", "gold-b"),
+            "experiment": ("run-a", "run-b"),
+        }[field]
+        for name in twins:
+            spec = JobSpec(kind, {**base, field: name}, job_id=name)
+            result = engine.run([spec])[name]
+            assert result.value[field] == name
+            assert result.cached is False
+
     def test_cache_shared_through_store_across_engines(self, platform, tmp_path):
         path = tmp_path / "cache.db"
         params = {"dataset": "people", "gold": "people-gold", "metrics": ["f1"]}

@@ -34,8 +34,8 @@ class TestStatsRoute:
         serving = stats["serving"]
         assert serving["requests"] == 0
         assert serving["computations"] == 0
-        assert set(serving["cache"]) >= {
-            "entries", "hits", "misses", "puts", "evictions", "invalidations",
+        assert set(serving["cache"]) == {
+            "entries", "max_entries", "hits", "misses", "puts", "evictions",
         }
         assert set(serving["coalescer"]) == {"leaders", "followers", "in_flight"}
 

@@ -29,20 +29,12 @@ class TestLruTier:
         assert tier.put("b", 2) == [("a", 1)]
         assert len(tier) == 1
 
-    def test_pop_and_contains(self):
-        tier = LruTier(4)
-        tier.put("a", 1)
-        assert "a" in tier
-        assert tier.pop("a") == 1
-        assert tier.pop("a") is MISS
-        assert "a" not in tier
-
 
 class TestMetricResultCache:
     def test_miss_then_hit(self):
         cache = MetricResultCache(max_entries=4)
         assert cache.get("k") is MISS
-        cache.put("k", {"value": 1}, tag="d")
+        cache.put("k", {"value": 1})
         assert cache.get("k") == {"value": 1}
         stats = cache.stats()
         assert stats["hits"] == 1
@@ -50,60 +42,16 @@ class TestMetricResultCache:
         assert stats["puts"] == 1
         assert stats["entries"] == 1
 
-    def test_lru_eviction_updates_counters_and_tags(self):
+    def test_lru_eviction_updates_counters(self):
         cache = MetricResultCache(max_entries=2)
-        cache.put("a", 1, tag="d1")
-        cache.put("b", 2, tag="d2")
-        cache.put("c", 3, tag="d1")  # evicts "a"
-        assert cache.get("a") is MISS
-        assert cache.stats()["evictions"] == 1
-        # the evicted key's tag entry is cleaned: invalidating d1 only
-        # drops the surviving key
-        assert cache.invalidate("d1") == 1
-        assert cache.get("c") is MISS
-        assert cache.get("b") == 2
-
-    def test_invalidate_tag_drops_all_its_keys(self):
-        cache = MetricResultCache(max_entries=8)
-        cache.put("a", 1, tag="cora")
-        cache.put("b", 2, tag="cora")
-        cache.put("c", 3, tag="songs")
-        assert cache.invalidate("cora") == 2
-        assert cache.get("a") is MISS
-        assert cache.get("b") is MISS
-        assert cache.get("c") == 3
-        assert cache.stats()["invalidations"] == 2
-        assert cache.invalidate("cora") == 0  # idempotent
-
-    def test_invalidate_key(self):
-        cache = MetricResultCache(max_entries=4)
-        cache.put("a", 1, tag="d")
-        assert cache.invalidate_key("a") is True
-        assert cache.invalidate_key("a") is False
-        assert cache.get("a") is MISS
-        assert cache.invalidate("d") == 0  # tag index was cleaned
-
-    def test_retagging_a_key_moves_it(self):
-        cache = MetricResultCache(max_entries=4)
-        cache.put("a", 1, tag="old")
-        cache.put("a", 2, tag="new")
-        assert cache.invalidate("old") == 0
-        assert cache.get("a") == 2
-        assert cache.invalidate("new") == 1
-
-    def test_clear(self):
-        cache = MetricResultCache(max_entries=4)
-        cache.put("a", 1, tag="d")
-        cache.put("b", 2)
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert cache.get("a") is MISS
-
-    def test_untagged_entries_survive_tag_invalidation(self):
-        cache = MetricResultCache(max_entries=4)
         cache.put("a", 1)
-        assert cache.invalidate("anything") == 0
-        assert cache.get("a") == 1
+        cache.put("b", 2)
+        cache.put("c", 3)  # evicts "a"
+        assert cache.get("a") is MISS
+        assert cache.get("b") == 2
+        assert cache.get("c") == 3
+        assert cache.stats()["evictions"] == 1
+        assert len(cache) == 2
 
     def test_concurrent_mixed_operations_stay_consistent(self):
         cache = MetricResultCache(max_entries=64)
@@ -115,10 +63,8 @@ class TestMetricResultCache:
                 barrier.wait(timeout=10)
                 for round_index in range(200):
                     key = f"k{round_index % 32}"
-                    cache.put(key, index, tag=f"d{index % 2}")
+                    cache.put(key, index)
                     cache.get(key)
-                    if round_index % 50 == 0:
-                        cache.invalidate(f"d{index % 2}")
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 

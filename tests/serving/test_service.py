@@ -1,4 +1,4 @@
-"""Tests for the ServingLayer facade: read-through, coalescing, invalidation."""
+"""Tests for the ServingLayer facade: read-through, coalescing, cache keys."""
 
 import threading
 
@@ -8,6 +8,9 @@ from repro.core import Experiment, GoldStandard
 from repro.core.platform import FrostPlatform
 from repro.serving import ServingLayer, platform_from_store
 from repro.storage.database import FrostStore
+from repro.streaming import build_session
+
+from tests.graph.test_build import CONFIG, records
 
 
 @pytest.fixture
@@ -61,6 +64,41 @@ class TestReadThrough:
         assert stats["computations"] == 4
         assert stats["cache"]["hits"] == 4
 
+    @pytest.mark.parametrize(
+        "fetch, field, names",
+        [
+            pytest.param(
+                lambda serving, name: serving.profile_payload(name),
+                "name", ("one", "two"), id="profile-dataset",
+            ),
+            pytest.param(
+                lambda serving, name: serving.diagram_payload(
+                    "one", name, "gold-a", 5
+                ),
+                "experiment", ("run-a", "run-b"), id="diagram-experiment",
+            ),
+            pytest.param(
+                lambda serving, name: serving.diagram_payload(
+                    "one", "run-a", name, 5
+                ),
+                "gold", ("gold-a", "gold-b"), id="diagram-gold",
+            ),
+            pytest.param(
+                lambda serving, name: serving.metrics_payload(
+                    "one", name, None, None
+                ),
+                "gold", ("gold-a", "gold-b"), id="metrics-gold",
+            ),
+        ],
+    )
+    def test_equal_contents_under_another_name_serve_that_name(
+        self, twin_platform, fetch, field, names
+    ):
+        serving = ServingLayer(twin_platform)
+        for name in names:
+            assert fetch(serving, name)[field] == name
+        assert serving.stats()["computations"] == len(names)
+
     def test_unknown_names_raise_before_caching(self, serving):
         with pytest.raises(KeyError):
             serving.metrics_payload("ghost", "people-gold", None, None)
@@ -78,7 +116,6 @@ class TestInvalidation:
         )
         after = serving.metrics_payload("people", "people-gold", None, None)
         assert set(after["metrics"]) == {"people-run", "late-run"}
-        assert serving.stats()["cache"]["invalidations"] >= 1
 
     def test_write_to_another_dataset_keeps_entries(
         self, serving, platform, abcd_dataset, abcd_gold
@@ -90,31 +127,49 @@ class TestInvalidation:
         serving.metrics_payload("people", "people-gold", None, None)
         assert serving.stats()["computations"] == 1  # still cached
 
-    def test_new_gold_registration_invalidates(self, serving, platform):
-        serving.metrics_payload("people", "people-gold", None, None)
+    def test_new_gold_registration_keeps_the_table_cached(
+        self, serving, platform
+    ):
+        first = serving.metrics_payload("people", "people-gold", None, None)
         platform.add_gold(
             "people",
             GoldStandard.from_pairs([("p1", "p2")], name="gold-2"),
         )
-        serving.metrics_payload("people", "people-gold", None, None)
-        assert serving.stats()["computations"] == 2
+        again = serving.metrics_payload("people", "people-gold", None, None)
+        assert again is first  # the table reads nothing the write changed
+        assert serving.stats()["computations"] == 1
+        assert again == {
+            "gold": "people-gold",
+            "metrics": platform.metrics_table("people", "people-gold"),
+        }
 
-    def test_explicit_invalidate(self, serving):
-        serving.profile_payload("people")
-        assert serving.invalidate("people") == 1
-        serving.profile_payload("people")
-        assert serving.stats()["computations"] == 2
+    def test_an_experiment_taking_a_gold_name_is_served(self, serving, platform):
+        platform.add_gold(
+            "people", GoldStandard.from_pairs([("p3", "p4")], name="late")
+        )
+        before = serving.intersection_payload("people", ["late"], [])
+        assert before["pairs"] == [["p3", "p4"]]
+        # an experiment shadows a gold of the same name
+        platform.add_experiment(
+            "people", Experiment([("p5", "p6", 0.9)], name="late")
+        )
+        after = serving.intersection_payload("people", ["late"], [])
+        assert after["pairs"] == [["p5", "p6"]]
 
-    def test_dropped_serving_layers_detach_from_the_platform(
-        self, platform, abcd_dataset
+    def test_graph_batch_written_through_another_store_is_served(
+        self, tmp_path
     ):
-        import gc
-
-        for _ in range(3):
-            ServingLayer(platform, max_entries=4)  # abandoned immediately
-        gc.collect()
-        platform.add_dataset(abcd_dataset)  # notifies; prunes dead listeners
-        assert len(platform._listeners) == 0
+        path = tmp_path / "graph.db"
+        everyone = records()
+        with FrostStore(path) as reader, FrostStore(path) as writer:
+            session = build_session(CONFIG, store=writer, name="s")
+            serving = ServingLayer(FrostPlatform())
+            serving.attach_store(reader)
+            session.ingest(everyone[:4])
+            assert serving.graph_summary_payload("s")["node_count"] == 4
+            session.ingest(everyone[4:6])
+            assert serving.graph_summary_payload("s")["node_count"] == 6
+            assert serving.stats()["computations"] == 2
 
 
 class TestCoalescing:
