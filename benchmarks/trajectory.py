@@ -64,7 +64,6 @@ REGRESSION_TOLERANCE = 0.20
 # Per area, the counters of BENCH_<area>.json that must equal HEAD's.
 EXACT_COUNTERS: dict[str, tuple[str, ...]] = {
     "streaming": ("delta_candidates", "full_candidates"),
-    "disk_blocking": ("candidates", "rows_spilled"),
     "serving": ("requests", "cache_hits", "computations"),
     "graph": ("nodes", "edges", "clusters"),
     "kernels": ("pairs",),

@@ -14,7 +14,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
 from repro.core.pairs import Pair, make_pair
-from repro.core.unionfind import PairCountingUnionFind
 
 __all__ = ["Clustering", "transitive_closure", "closure_distance"]
 
@@ -187,10 +186,6 @@ class Clustering:
             for cluster in self._clusters
         )
 
-    def relabel(self) -> dict[str, int]:
-        """``record_id -> cluster index`` mapping for explicit records."""
-        return dict(self._membership)
-
 
 def transitive_closure(pairs: Iterable[Iterable[str]]) -> set[Pair]:
     """Transitive closure of a set of match pairs.
@@ -212,13 +207,3 @@ def closure_distance(pairs: Iterable[Iterable[str]]) -> int:
     canonical = {make_pair(*pair) for pair in pairs}
     closed = transitive_closure(canonical)
     return len(closed) - len(canonical)
-
-
-def _clustering_from_unionfind(
-    unionfind: PairCountingUnionFind, ids: Sequence[str]
-) -> Clustering:
-    """Materialize a union-find partition over numeric ids as a Clustering."""
-    groups: dict[int, list[str]] = {}
-    for numeric_id, native_id in enumerate(ids):
-        groups.setdefault(unionfind.find(numeric_id), []).append(native_id)
-    return Clustering(groups.values())

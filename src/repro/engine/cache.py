@@ -71,14 +71,15 @@ class LruTier:
         self._entries.move_to_end(key)
         return self._entries[key]
 
-    def put(self, key: str, value: object) -> list[tuple[str, object]]:
-        """Store ``value`` under ``key``; returns the evicted
-        ``(key, value)`` pairs, oldest first."""
+    def put(self, key: str, value: object) -> int:
+        """Store ``value`` under ``key``; returns how many of the least
+        recently used entries were evicted to make room."""
         self._entries[key] = value
         self._entries.move_to_end(key)
-        evicted: list[tuple[str, object]] = []
+        evicted = 0
         while len(self._entries) > self.max_entries:
-            evicted.append(self._entries.popitem(last=False))
+            self._entries.popitem(last=False)
+            evicted += 1
         return evicted
 
     def clear(self) -> None:
@@ -144,7 +145,7 @@ class ResultCache:
             self.store.cache_put(key, kind, payload)
 
     def _remember(self, key: str, payload: object) -> None:
-        evicted = len(self._memory.put(key, payload))
+        evicted = self._memory.put(key, payload)
         self.evictions += evicted
         if evicted:
             _CACHE_EVICTIONS.inc(evicted)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from weakref import WeakKeyDictionary
@@ -290,13 +290,3 @@ _id_counter = itertools.count(1)
 def next_job_id(kind: str) -> str:
     """A fresh process-unique job id for specs submitted without one."""
     return f"{kind}-{next(_id_counter)}"
-
-
-def ensure_unique_ids(specs: Sequence[JobSpec]) -> None:
-    """Raise ``ValueError`` when two specs share a non-empty id."""
-    seen: set[str] = set()
-    for spec in specs:
-        if spec.job_id:
-            if spec.job_id in seen:
-                raise ValueError(f"duplicate job id {spec.job_id!r}")
-            seen.add(spec.job_id)

@@ -418,16 +418,6 @@ class ExperimentEngine:
             entry.settle()
             return True
 
-    def cancel_pending(self) -> int:
-        """Cancel every still-pending job; returns how many."""
-        with self._lock:
-            pending = [
-                job_id
-                for job_id, entry in self._entries.items()
-                if entry.result.state is JobState.PENDING
-            ]
-        return sum(self.cancel(job_id) for job_id in pending)
-
     # -- introspection ------------------------------------------------------------
 
     def result(self, job_id: str) -> JobResult:

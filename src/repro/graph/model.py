@@ -78,9 +78,6 @@ class MatchGraph:
     def accepted_edge_count(self) -> int:
         return sum(1 for _, accepted in self._edges.values() if accepted)
 
-    def has_record(self, native_id: str) -> bool:
-        return native_id in self._node_of
-
     def record_ids(self) -> list[str]:
         """Native record ids in node order."""
         return list(self._native)

@@ -44,8 +44,7 @@ _LOGGER = logging.getLogger(__name__)
 # Recall loss from the max_block_size purge must be observable: purged
 # blocks silently shrink the candidate set, which reads as "fast" until
 # pairs completeness is measured.  One counter pair is shared by every
-# purge site — token blocking, LSH bucket purging, and the disk-backed
-# SQL path (:mod:`repro.blocking_disk`).
+# purge site — token blocking and LSH bucket purging.
 _PURGED_BLOCKS = get_metrics().counter(
     "frost_blocking_purged_blocks_total",
     "Oversized blocks dropped by the max_block_size purge",
@@ -112,9 +111,6 @@ def sorted_neighborhood(
     order).  Equal keys are tie-broken by record id — sorting by key
     alone would leave ties in dataset insertion order, making the
     window (and therefore the candidate set) depend on ingestion order.
-    The total ``(key, record_id)`` order also matches what SQL's
-    ``ORDER BY block_key, record_id`` produces, which keeps the
-    disk-backed window join (:mod:`repro.blocking_disk`) set-identical.
     """
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")

@@ -304,17 +304,6 @@ class MinHasher:
         signature = self.signature(tokens)
         if signature is None:
             return []
-        return self.band_keys_from_signature(signature)
-
-    def band_keys_from_signature(
-        self, signature: Sequence[int]
-    ) -> list[str]:
-        """The banded bucket keys of an already-computed signature.
-
-        Split out of :meth:`band_keys` so callers that also persist the
-        signature (the disk-backed blocking store spills the packed
-        blob next to the bucket rows) hash each record exactly once.
-        """
         rows = self.config.rows
         keys = []
         for band in range(self.config.bands):

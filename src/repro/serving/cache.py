@@ -94,7 +94,7 @@ class MetricResultCache:
         with self._lock:
             self.puts += 1
             _SERVING_PUTS.inc()
-            evicted = len(self._tier.put(key, payload))
+            evicted = self._tier.put(key, payload)
             self.evictions += evicted
             if evicted:
                 _SERVING_EVICTIONS.inc(evicted)

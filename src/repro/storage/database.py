@@ -19,7 +19,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.blocking_disk.store import BLOCKING_SCHEMA, DiskBlockingStore
 from repro.core.clustering import Clustering
 from repro.core.experiment import Experiment, GoldStandard, Match
 from repro.core.pairs import make_pair
@@ -37,8 +36,9 @@ __all__ = ["FrostStore", "StorageError", "SCHEMA_VERSION"]
 #   1: seed .. PR 5 (datasets/experiments/golds/result_cache/streams)
 #   2: PR 7 match-graph adjacency tables (graphs/graph_nodes/
 #      graph_edges/graph_components)
-#   3: PR 9 disk-backed blocking tables (blocking_runs/blocking_keys/
-#      blocking_signatures — see repro.blocking_disk)
+#   3: disk-backed blocking tables (blocking_runs/blocking_keys/
+#      blocking_signatures), no longer created; files that hold them
+#      keep them untouched and still open
 #   4: PR 10 telemetry warehouse tables (telemetry_runs/telemetry_spans/
 #      telemetry_metrics/telemetry_profiles/telemetry_trajectories —
 #      see repro.telemetry.store)
@@ -189,7 +189,7 @@ CREATE TABLE IF NOT EXISTS graph_components (
 );
 CREATE INDEX IF NOT EXISTS idx_graph_components_component
     ON graph_components(graph_id, component);
-""" + BLOCKING_SCHEMA + TELEMETRY_SCHEMA
+""" + TELEMETRY_SCHEMA
 
 
 class FrostStore:
@@ -239,20 +239,31 @@ class FrostStore:
         # The creating thread's connection doubles as the schema
         # bootstrapper (and, for :memory:, as the one shared handle).
         connection = self._connect()
-        stored_version = connection.execute("PRAGMA user_version").fetchone()[0]
-        if stored_version > SCHEMA_VERSION:
-            connection.close()
+        try:
+            stored_version = connection.execute(
+                "PRAGMA user_version"
+            ).fetchone()[0]
+            if stored_version > SCHEMA_VERSION:
+                raise StorageError(
+                    f"store {self._path!r} uses schema version "
+                    f"{stored_version}, newer than the supported version "
+                    f"{SCHEMA_VERSION}"
+                )
+            # Every table is IF NOT EXISTS, so pre-existing files (e.g. a
+            # store written before the graph tables existed) migrate in
+            # place: missing tables are added, present ones are untouched.
+            connection.executescript(_SCHEMA)
+            if stored_version < SCHEMA_VERSION:
+                connection.execute(f"PRAGMA user_version={SCHEMA_VERSION:d}")
+            connection.commit()
+        except sqlite3.Error as error:  # e.g. a file that is not SQLite
+            self.close()
             raise StorageError(
-                f"store {self._path!r} uses schema version {stored_version}, "
-                f"newer than the supported version {SCHEMA_VERSION}"
-            )
-        # Every table is IF NOT EXISTS, so pre-existing files (e.g. a
-        # store written before the graph tables existed) migrate in
-        # place: missing tables are added, present ones are untouched.
-        connection.executescript(_SCHEMA)
-        if stored_version < SCHEMA_VERSION:
-            connection.execute(f"PRAGMA user_version={SCHEMA_VERSION:d}")
-        connection.commit()
+                f"cannot open store {self._path!r}: {error}"
+            ) from None
+        except StorageError:
+            self.close()
+            raise
         if self._in_memory:
             self._shared_connection = connection
         else:
@@ -838,16 +849,6 @@ class FrostStore:
     def schema_version(self) -> int:
         """The schema version stamped into this store file."""
         return self._connection.execute("PRAGMA user_version").fetchone()[0]
-
-    def blocking_store(self) -> DiskBlockingStore:
-        """A disk-blocking view over this store's blocking tables.
-
-        Blocking runs spilled through it live next to the datasets
-        (schema version 3), so a platform store file carries its own
-        reproducible blocking state.  The view borrows the calling
-        thread's connection — closing it never closes the store.
-        """
-        return DiskBlockingStore(connection=self._connection)
 
     def telemetry_store(self, max_runs: int | None = None) -> TelemetryStore:
         """A telemetry-warehouse view over this store's telemetry tables.

@@ -101,9 +101,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: int | float = 1) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> int | float:
         with self._lock:

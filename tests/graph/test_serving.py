@@ -1,9 +1,10 @@
-"""Graph payloads through the serving cache: invalidation + concurrency.
+"""Graph payloads through the serving cache: keys + concurrency.
 
-Graph traversal payloads are cached under ``graph:{name}`` tags; every
-graph write (a stream batch, a build) must invalidate them before the
-next read.  The hammer drives 8 threads of mixed traversals against
-one serving layer and checks every response for correctness.
+Graph traversal payloads are cached under keys that carry the graph's
+meta row; every graph write (a stream batch, a build) moves that row,
+so the next read misses and computes on the graph as stored now.  The
+hammer drives 8 threads of mixed traversals against one serving layer
+and checks every response for correctness.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class TestGraphServing:
         serving = ServingLayer(FrostPlatform())
         assert serving.graph_names() == []
 
-    def test_ingest_invalidates_cached_payloads(self):
+    def test_ingest_moves_the_key_of_cached_payloads(self):
         _, session, serving = serving_over_stream()
         everyone = records()
         session.ingest(everyone[:4])
@@ -41,7 +42,8 @@ class TestGraphServing:
         computations = serving.stats()["computations"]
         assert serving.graph_summary_payload("s") == first
         assert serving.stats()["computations"] == computations
-        # a write invalidates: the next read sees the new batch
+        # a write moves the graph's meta row, so the key changes and
+        # the next read sees the new batch
         session.ingest(everyone[4:6])
         assert serving.graph_summary_payload("s")["node_count"] == 6
 

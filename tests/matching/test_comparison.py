@@ -464,20 +464,12 @@ class TestResolveCandidates:
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.matching.parallel", "repro.engine.executors"]
+    "module",
+    ["repro.matching.parallel", "repro.engine.executors", "repro.blocking_disk"],
 )
-def test_sharding_modules_are_gone(module):
+def test_retired_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
-
-
-def test_the_disk_delta_index_is_gone():
-    import repro.blocking_disk
-
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.blocking_disk.incremental")
-    for name in ("DiskBlockingIndex", "disk_candidates", "plan_for_generator"):
-        assert not hasattr(repro.blocking_disk, name)
 
 
 def test_the_pipeline_takes_no_parallelism():

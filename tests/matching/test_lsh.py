@@ -152,6 +152,42 @@ class TestMinHasher:
         agreement = sum(a == b for a, b in zip(first, second)) / 128
         assert 0.25 < agreement < 0.85
 
+    @pytest.mark.parametrize(
+        "config, keys",
+        [
+            (
+                LshConfig(num_perm=16, bands=8),
+                [
+                    "0:8e7b1165e3dc9c5c", "1:689d001dec045677",
+                    "2:dd8a44b6b3954564", "3:361266f4cfb86b22",
+                    "4:b6232d36b1593bb1", "5:302f69027ae310b2",
+                    "6:09e30e69a6f192ac", "7:06176feb8d7c08a9",
+                ],
+            ),
+            (
+                LshConfig(num_perm=16, bands=4, seed=7),
+                [
+                    "0:b9b4a061e1ece8f0", "1:82a937ffe3fdd051",
+                    "2:e99b93f38d3b9d2c", "3:0e149d36ab876b6f",
+                ],
+            ),
+            (
+                LshConfig(num_perm=24, bands=3, seed=3),
+                [
+                    "0:b4a9572808490675", "1:62f50106c6086a72",
+                    "2:df394cd242dc002a",
+                ],
+            ),
+        ],
+        ids=["rows2", "rows4-seed7", "rows8-seed3"],
+    )
+    def test_band_keys_are_pinned(self, config, keys):
+        """Bucket keys are persisted as block rows of durable LSH
+        streams, so a stored stream resumes only while the same tokens
+        hash to the same key strings."""
+        tokens = ["alpha", "beta", "gamma", "centauri"]
+        assert MinHasher(config).band_keys(tokens) == keys
+
 
 class TestLshBlocking:
     def test_exact_duplicates_are_always_candidates(self):

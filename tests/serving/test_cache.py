@@ -18,15 +18,15 @@ class TestLruTier:
         tier.put("a", 1)
         tier.put("b", 2)
         assert tier.get("a") == 1  # refresh "a"
-        evicted = tier.put("c", 3)
-        assert evicted == [("b", 2)]
+        assert tier.put("c", 3) == 1
         assert tier.get("b") is MISS
         assert tier.get("a") == 1
 
-    def test_put_returns_evicted_entries_oldest_first(self):
+    def test_put_returns_the_eviction_count(self):
         tier = LruTier(1)
-        tier.put("a", 1)
-        assert tier.put("b", 2) == [("a", 1)]
+        assert tier.put("a", 1) == 0
+        assert tier.put("b", 2) == 1
+        assert tier.get("a") is MISS
         assert len(tier) == 1
 
 

@@ -138,21 +138,74 @@ _TELEMETRY_TABLES = (
     "telemetry_spans", "telemetry_runs",
 )
 
+# The disk-blocking tables that store files of schema versions 3 and 4
+# were created with, verbatim.  The store no longer creates them, but
+# files that hold them must still open with their rows untouched.
+_RETIRED_BLOCKING_SCHEMA = """
+CREATE TABLE IF NOT EXISTS blocking_runs (
+    run_id INTEGER PRIMARY KEY,
+    scheme TEXT NOT NULL,
+    config TEXT NOT NULL,
+    created_at REAL NOT NULL
+);
+CREATE TABLE IF NOT EXISTS blocking_keys (
+    entry_id INTEGER PRIMARY KEY,
+    run_id INTEGER NOT NULL REFERENCES blocking_runs(run_id),
+    block_key TEXT NOT NULL,
+    record_id TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_blocking_keys_run_key
+    ON blocking_keys(run_id, block_key, record_id);
+CREATE TABLE IF NOT EXISTS blocking_signatures (
+    run_id INTEGER NOT NULL REFERENCES blocking_runs(run_id),
+    record_id TEXT NOT NULL,
+    signature BLOB NOT NULL,
+    PRIMARY KEY (run_id, record_id)
+);
+"""
+_BLOCKING_TABLES = ("blocking_runs", "blocking_keys", "blocking_signatures")
+
+
+def _table_names(path) -> set[str]:
+    import sqlite3
+
+    connection = sqlite3.connect(path)
+    try:
+        return {
+            name for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+    finally:
+        connection.close()
+
+
+def _blocking_rows(path) -> dict[str, list[tuple]]:
+    import sqlite3
+
+    connection = sqlite3.connect(path)
+    try:
+        return {
+            table: connection.execute(
+                f"SELECT * FROM {table} ORDER BY rowid"
+            ).fetchall()
+            for table in _BLOCKING_TABLES
+        }
+    finally:
+        connection.close()
+
 
 class TestBlockingSchemaMigration:
-    def _seed_pre_blocking_store(self, path, people_dataset) -> None:
-        """A store file as a PR-7-era process left it: datasets saved,
-        no blocking or telemetry tables, user_version 2."""
+    def _seed_v2_store(self, path, people_dataset) -> None:
+        """A store file at schema version 2: datasets saved, no
+        blocking or telemetry tables."""
         import sqlite3
 
         with FrostStore(path) as store:
             store.save_dataset(people_dataset)
         connection = sqlite3.connect(path)
         with connection:
-            for table in (
-                "blocking_signatures", "blocking_keys", "blocking_runs",
-                *_TELEMETRY_TABLES,
-            ):
+            for table in _TELEMETRY_TABLES:
                 connection.execute(f"DROP TABLE {table}")
             connection.execute("PRAGMA user_version = 2")
         connection.close()
@@ -161,24 +214,71 @@ class TestBlockingSchemaMigration:
         from repro.storage.database import SCHEMA_VERSION
 
         path = str(tmp_path / "old.db")
-        self._seed_pre_blocking_store(path, people_dataset)
+        self._seed_v2_store(path, people_dataset)
         with FrostStore(path) as store:
             assert store.schema_version == SCHEMA_VERSION == 4
-            # existing rows survive and the new tables work
+            # existing rows survive
             assert store.dataset_names() == ["people"]
-            blocking = store.blocking_store()
-            run_id = blocking.begin_run("standard_blocking", {})
-            blocking.spill_keys(run_id, [("k", "p1"), ("k", "p2")])
-            assert blocking.candidates(run_id) == {("p1", "p2")}
+        # the telemetry tables are added; the blocking tables are not
+        tables = _table_names(path)
+        assert set(_TELEMETRY_TABLES) <= tables
+        assert not tables & set(_BLOCKING_TABLES)
         # the stamp survives the reopen
         with FrostStore(path) as store:
             assert store.schema_version == SCHEMA_VERSION
 
+    def test_store_with_blocking_tables_opens_resumes_and_serves(
+        self, tmp_path
+    ):
+        import sqlite3
+
+        from repro.core.platform import FrostPlatform
+        from repro.serving.service import ServingLayer
+        from repro.storage.database import SCHEMA_VERSION
+        from repro.streaming import StreamingMatcher, build_session
+
+        from tests.graph.test_build import CONFIG, records
+
+        path = str(tmp_path / "blocking.db")
+        everyone = records()
+        with FrostStore(path) as store:
+            build_session(CONFIG, store=store, name="s").ingest(everyone[:4])
+        # what a store that spilled one blocking run holds on disk
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.executescript(_RETIRED_BLOCKING_SCHEMA)
+            connection.execute(
+                "INSERT INTO blocking_runs VALUES "
+                "(1, 'standard_blocking', '{}', 1.5)"
+            )
+            connection.executemany(
+                "INSERT INTO blocking_keys (run_id, block_key, record_id) "
+                "VALUES (1, ?, ?)",
+                [("anna", "p01"), ("anna", "p02"), ("bob", "p03")],
+            )
+            connection.execute(
+                "INSERT INTO blocking_signatures VALUES (1, 'p01', ?)",
+                (bytes(range(16)),),
+            )
+        connection.close()
+        before = _blocking_rows(path)
+        assert [len(rows) for rows in before.values()] == [1, 3, 1]
+
+        with FrostStore(path) as store:
+            assert store.schema_version == SCHEMA_VERSION == 4
+            session = StreamingMatcher.resume(store, "s")
+            assert (session.version, session.record_count) == (1, 4)
+            assert session.ingest(everyone[4:6]).version == 2
+            serving = ServingLayer(FrostPlatform())
+            serving.attach_store(store)
+            assert serving.graph_summary_payload("s")["node_count"] == 6
+        assert _blocking_rows(path) == before
+
 
 class TestTelemetrySchemaMigration:
     def _seed_v3_store(self, path, people_dataset) -> None:
-        """A store file as a PR-9-era process left it: datasets and
-        blocking tables present, no telemetry tables, user_version 3."""
+        """A store file at schema version 3: datasets saved, no
+        telemetry tables."""
         import sqlite3
 
         with FrostStore(path) as store:
@@ -219,5 +319,27 @@ class TestTelemetrySchemaMigration:
         with connection:
             connection.execute("PRAGMA user_version = 99")
         connection.close()
+        before = _open_connections()
         with pytest.raises(StorageError, match="newer"):
             FrostStore(path)
+        assert _open_connections() == before
+
+    def test_a_file_that_is_not_sqlite_is_refused(self, tmp_path):
+        path = tmp_path / "notadb"
+        path.write_text("id,name\nr1,not a database\n" * 40)
+        before = _open_connections()
+        with pytest.raises(StorageError, match="cannot open store"):
+            FrostStore(str(path))
+        assert _open_connections() == before
+
+
+def _open_connections() -> float:
+    """Pooled connections opened and not yet closed, process-wide."""
+    from repro.telemetry.metrics import get_metrics
+
+    metrics = get_metrics()
+    return (
+        metrics.counter("frost_store_connections_opened_total", "").value
+        - metrics.counter("frost_store_connections_closed_total", "").value
+    )
+

@@ -2,11 +2,22 @@
 
 import pytest
 
+from repro.core.pairs import make_pair
 from repro.core.records import Dataset, Record
+from repro.datagen.domains import person_entity
+from repro.datagen.generator import (
+    CorruptionModel,
+    DirtyDatasetGenerator,
+    cluster_sizes_zipf,
+)
 from repro.matching.blocking import (
     first_token_key,
     standard_blocking,
     token_blocking,
+)
+from repro.streaming.config import (
+    candidate_generator_from_key,
+    delta_index_from_key,
 )
 from repro.streaming.delta_blocking import (
     IncrementalBlockingIndex,
@@ -149,3 +160,50 @@ class TestRestore:
         index.ingest([person("a", "smith")])
         with pytest.raises(ValueError, match="empty"):
             index.restore([("smith", "b")])
+
+
+SLICE_KEYS = {
+    "first_token": {"kind": "first_token", "attribute": "last_name"},
+    "prefix": {"kind": "prefix", "attribute": "city", "length": 2},
+    "soundex": {"kind": "soundex", "attribute": "last_name"},
+    "token": {"kind": "token", "attributes": ["first_name", "last_name"]},
+    "lsh": {"kind": "lsh", "num_perm": 16, "bands": 8},
+}
+
+
+@pytest.fixture(scope="module")
+def slices():
+    """Three generated person slices with disjoint record ids."""
+    return [
+        DirtyDatasetGenerator(
+            entity_factory=person_entity,
+            cluster_sizes=cluster_sizes_zipf(maximum=4),
+            corruption=CorruptionModel(attribute_rate=0.35, null_rate=0.05),
+            name=f"slice-{index}",
+            id_prefix=f"s{index}-",
+            seed=500 + index,
+        ).generate(150).dataset
+        for index in range(3)
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_KEYS))
+def test_slice_deltas_partition_the_batch_candidates(kind, slices):
+    """A corpus ingested slice by slice: each delta is sorted and agrees
+    with its id lanes, no pair is emitted twice, and together the deltas
+    are the stream's batch blocker over the whole corpus."""
+    index = delta_index_from_key(SLICE_KEYS[kind])
+    emitted = []
+    for records in slices:
+        delta = index.ingest_delta(records)
+        lanes = [
+            make_pair(delta.ids[first], delta.ids[second])
+            for first, second in zip(delta.firsts, delta.seconds)
+        ]
+        assert delta.pairs == sorted(lanes)
+        emitted.extend(delta.pairs)
+    assert emitted
+    assert len(emitted) == len(set(emitted))
+    whole = Dataset([record for records in slices for record in records])
+    batch = candidate_generator_from_key(SLICE_KEYS[kind])(whole)
+    assert set(emitted) == batch

@@ -168,6 +168,15 @@ class TestMetrics:
         assert "error:" in err
 
 
+class TestStoreErrors:
+    def test_a_non_database_store_fails_cleanly(self, tmp_path, capsys):
+        store = tmp_path / "notadb"
+        store.write_text("id,name\nr1,not a database\n" * 40)
+        code, _, err = run(capsys, "stream", "status", "--store", store)
+        assert code == 1
+        assert err.startswith("error: cannot open store")
+
+
 class TestDiagram:
     def test_prints_threshold_rows(self, files, capsys):
         code, out, _ = run(

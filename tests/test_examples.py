@@ -25,7 +25,6 @@ FAST_EXAMPLES = [
     "tracing_pipeline.py",
     "graph_explore.py",
     "columnar_kernels.py",
-    "disk_blocking.py",
     "telemetry_warehouse.py",
 ]
 
