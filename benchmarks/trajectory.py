@@ -68,6 +68,10 @@ EXACT_COUNTERS: dict[str, tuple[str, ...]] = {
     "graph": ("nodes", "edges", "clusters"),
     "kernels": ("pairs",),
     "lsh_blocking": ("default_candidates", "pairs_completeness", "reduction_ratio"),
+    "ablation_blocking": (
+        "standard(last_name)", "standard(soundex last)",
+        "sorted-neighborhood(w=10)", "token-blocking",
+    ),
 }
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _SCHEMA_VERSION = 1

@@ -13,6 +13,7 @@ README § "Columnar comparison kernels".
 
 from repro.columnar.batch import (
     PairBatch,
+    RowPairSet,
     RowPairs,
     ScoredBatch,
     accepted_pairs,
@@ -34,6 +35,7 @@ __all__ = [
     "plan_for",
     "compare_block",
     "PairBatch",
+    "RowPairSet",
     "RowPairs",
     "ScoredBatch",
     "accepted_pairs",

@@ -28,7 +28,7 @@ working unchanged.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence, Set
 from typing import NamedTuple
 
 import numpy as np
@@ -41,13 +41,17 @@ from repro.matching.attribute_matching import SimilarityVector
 __all__ = [
     "ClosureLanes",
     "PairBatch",
+    "RowPairSet",
     "RowPairs",
     "ScoredBatch",
     "accepted_pairs",
     "closure_matches",
     "component_labels",
+    "sorted_unique",
     "store_rows",
 ]
+
+_LOW_BITS = np.int64(0xFFFFFFFF)
 
 
 def store_rows(store, pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
@@ -93,6 +97,98 @@ class RowPairs:
 
     def __repr__(self) -> str:
         return f"RowPairs(pairs={len(self)})"
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)``, by one sort and an adjacent-difference mask.
+
+    On ``int64`` keys numpy 2.4's ``np.unique`` takes a hash path that
+    runs about fifty times slower than this sort on a million packed
+    pair keys.
+    """
+    keys = np.sort(keys)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+class RowPairSet(RowPairs, Set):
+    """Canonical candidate pairs of one store, as sorted row lanes.
+
+    ``keys`` holds each pair once as ``low << 32 | high`` over its two
+    rows' ranks in sorted record-id order (:meth:`ColumnarStore.id_ranks
+    <repro.columnar.ColumnarStore.id_ranks>`), ascending; ``rows_a`` is
+    the row of each pair's smaller record id.  So the pairs are in the
+    order :func:`sorted` gives their id tuples, and the comparison stage
+    scores a store's own set on its rows without a string lookup.
+    :meth:`from_ranks` builds one from two rank lanes; only this class
+    knows the key format.
+
+    The lanes also read as a read-only set of canonical record-id
+    pairs: iteration builds the tuples in sorted order, ``in`` is an
+    exact binary search over ``keys`` (``False`` for a reversed pair,
+    ``(x, x)`` or ids the store lacks), and set algebra returns plain
+    ``set`` objects.
+    """
+
+    __slots__ = ("keys", "_ranks")
+
+    def __init__(self, store, keys: np.ndarray) -> None:
+        ranks = store.id_ranks()
+        by_rank = np.empty_like(ranks)
+        by_rank[ranks] = np.arange(len(ranks))
+        super().__init__(store, by_rank[keys >> 32], by_rank[keys & _LOW_BITS])
+        self.keys = keys
+        # ranks as of the keys: extending the store replaces the array
+        self._ranks = ranks
+
+    @classmethod
+    def from_ranks(
+        cls, store, firsts: np.ndarray, seconds: np.ndarray
+    ) -> RowPairSet:
+        """The distinct pairs of the rows ranked ``firsts[i]``, ``seconds[i]``.
+
+        Ranks are :meth:`ColumnarStore.id_ranks
+        <repro.columnar.ColumnarStore.id_ranks>` positions; a pair may
+        come in either order and any number of times.  ``seconds`` is
+        overwritten, and lanes passed as temporaries are freed as soon
+        as they are packed, so packing holds at most three pair lanes.
+        """
+        if (firsts == seconds).any():
+            raise ValueError("a record pair needs two distinct records")
+        keys = np.minimum(firsts, seconds)
+        np.maximum(firsts, seconds, out=seconds)
+        del firsts
+        keys <<= 32
+        keys |= seconds
+        del seconds
+        keys = sorted_unique(keys)
+        return cls(store, keys)
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[Pair]) -> set[Pair]:
+        return set(pairs)
+
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        ranks = self._ranks
+        row_index = self.store.row_index
+        try:
+            row_a = row_index.get(pair[0], len(ranks))
+            row_b = row_index.get(pair[1], len(ranks))
+        except TypeError:  # an unhashable id is no record id
+            return False
+        if row_a >= len(ranks) or row_b >= len(ranks):
+            return False
+        # a reversed pair or (x, x) packs to a key no member has
+        key = int(ranks[row_a]) << 32 | int(ranks[row_b])
+        at = int(np.searchsorted(self.keys, key))
+        return at < len(self.keys) and int(self.keys[at]) == key
+
+    def __repr__(self) -> str:
+        return f"RowPairSet(pairs={len(self)})"
 
 
 class PairBatch(Sequence):

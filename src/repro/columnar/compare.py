@@ -45,7 +45,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.columnar.batch import PairBatch, store_rows
+from repro.columnar.batch import _LOW_BITS, PairBatch, store_rows
 from repro.columnar.kernels import MEMO_ENTRIES, Kernel, KernelPlan
 from repro.columnar.store import NULL_VID, ColumnarStore
 from repro.core.pairs import Pair
@@ -201,6 +201,5 @@ def _merged(
     return merged
 
 
-_LOW_BITS = np.int64(0xFFFFFFFF)
 _NO_KEYS = np.empty(0, dtype=np.int64)
 _NO_SCORES = np.empty(0, dtype=np.float64)

@@ -9,8 +9,10 @@ Processing for Graph DBMSs* (PAPERS.md):
 * each pair's two ids are looked up as store rows once, and pairs
   whose records were deleted between blocking and scoring are dropped;
   candidates that already are rows of the store
-  (:class:`~repro.columnar.RowPairs`, a streaming session's delta) skip
-  the lookup and are oriented so the smaller record id comes first;
+  (:class:`~repro.columnar.RowPairs`: a batch blocker's
+  :class:`~repro.columnar.RowPairSet`, a streaming session's delta)
+  skip the lookup and are oriented so the smaller record id comes
+  first;
 * the rows are ordered by their integer ranks in sorted record-id
   order (:meth:`~repro.columnar.ColumnarStore.id_ranks`), which is
   exactly the order :func:`sorted` gives the id tuples — one ordering

@@ -21,7 +21,11 @@ The hot path is batched at the vocabulary level: a
 :class:`MinHasher` computes the ``num_perm`` permuted hash values of each
 *distinct* token once and reduces record signatures with an elementwise
 ``min`` over the cached token rows, instead of re-hashing every token of
-every record ``num_perm`` times.
+every record ``num_perm`` times.  The band buckets are then blocks like
+any exact blocker's: :func:`lsh_blocking` hands each record's bucket
+memberships to :func:`~repro.matching.blocking.block_pairs`, which
+purges oversized buckets and returns the candidates as a
+:class:`~repro.columnar.batch.RowPairSet` of sorted row lanes.
 
 Banding is **append-only** — a new record can only join buckets, never
 reshuffle them — which is exactly the property that lets
@@ -36,12 +40,11 @@ import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from random import Random
 
-from repro.core.pairs import Pair, make_pair
+from repro.columnar.batch import RowPairSet
 from repro.core.records import Dataset, Record
-from repro.matching.blocking import note_purged_blocks
+from repro.matching.blocking import block_pairs, key_blocks
 from repro.matching.similarity import tokenize
 
 __all__ = [
@@ -77,7 +80,7 @@ def record_tokens(
 ) -> frozenset[str]:
     """The token set a record is MinHashed over.
 
-    Word tokens follow :func:`~repro.streaming.delta_blocking.token_keys`:
+    Word tokens follow :func:`~repro.matching.blocking.token_keys`:
     every token of at least ``min_token_length`` characters across the
     given attributes (default: all).  With ``shingle_size`` set (the
     default), each token is expanded into boundary-padded character
@@ -328,34 +331,22 @@ class MinHasher:
         )
 
 
-def lsh_blocking(dataset: Dataset, config: LshConfig | None = None) -> set[Pair]:
+def lsh_blocking(
+    dataset: Dataset, config: LshConfig | None = None
+) -> RowPairSet:
     """Batch MinHash-LSH blocking: records sharing any band bucket.
 
-    Buckets are visited in sorted order, so any order-sensitive
-    instrumentation of the emission is reproducible; the returned
-    candidate *set* is content-identical regardless.  Buckets larger
-    than ``config.max_block_size`` are dropped entirely (batch purge).
+    Buckets are blocks of :func:`~repro.matching.blocking.block_pairs`,
+    so the candidates come back as sorted row lanes over
+    ``dataset.columnar_store()``.  Buckets larger than
+    ``config.max_block_size`` are dropped entirely (batch purge).
     """
     config = config or LshConfig()
-    hasher = MinHasher(config)
-    buckets: dict[str, list[str]] = {}
-    for record in dataset:
-        for key in hasher.keys_for(record):
-            buckets.setdefault(key, []).append(record.record_id)
-    candidates: set[Pair] = set()
-    purged_buckets = purged_records = 0
-    for key in sorted(buckets):
-        members = buckets[key]
-        if (
-            config.max_block_size is not None
-            and len(members) > config.max_block_size
-        ):
-            purged_buckets += 1
-            purged_records += len(members)
-            continue
-        candidates.update(make_pair(a, b) for a, b in combinations(members, 2))
-    note_purged_blocks("lsh_blocking", purged_buckets, purged_records)
-    return candidates
+    rows, buckets = key_blocks(dataset, MinHasher(config).keys_for)
+    return block_pairs(
+        dataset, rows, buckets,
+        max_block_size=config.max_block_size, scheme="lsh_blocking",
+    )
 
 
 @dataclass(frozen=True)
@@ -371,7 +362,7 @@ class LshBlocking:
 
     config: LshConfig = field(default_factory=LshConfig)
 
-    def __call__(self, dataset: Dataset) -> set[Pair]:
+    def __call__(self, dataset: Dataset) -> RowPairSet:
         return lsh_blocking(dataset, self.config)
 
     def config_fingerprint(self) -> dict[str, object]:

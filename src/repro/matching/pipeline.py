@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import copy
 import logging
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from repro.columnar import plan_for
@@ -66,7 +67,7 @@ _STAGE_KEYS = {
 }
 
 Preparer = Callable[[Record], Record]
-CandidateGenerator = Callable[[Dataset], set[Pair]]
+CandidateGenerator = Callable[[Dataset], AbstractSet[Pair]]
 DecisionModel = Callable[[SimilarityVector], float]
 
 
@@ -97,6 +98,12 @@ class PipelineRun:
     model quality), and the final ``experiment`` (overall quality) —
     exactly the inter-stage measurements Frost advocates (§1.2).
 
+    ``candidates`` is what the candidate generator returned: for the
+    built-in blockers a :class:`~repro.columnar.RowPairSet`, pair lanes
+    over the prepared dataset's store that read as a set of canonical
+    pairs (sorted iteration, exact ``in``, set algebra into plain
+    sets); for a custom generator, its own set.
+
     ``vectors`` and ``scored_pairs`` are sequences in sorted pair
     order.  When the comparison ran on batch kernels they are lazy
     views — a :class:`~repro.columnar.PairBatch` of score lanes and,
@@ -109,7 +116,7 @@ class PipelineRun:
 
     dataset: Dataset
     prepared: Dataset
-    candidates: set[Pair]
+    candidates: AbstractSet[Pair]
     vectors: Sequence[SimilarityVector]
     scored_pairs: Sequence[ScoredPair]
     experiment: Experiment
@@ -200,8 +207,15 @@ class MatchingPipeline:
                 plan.warm(prepared.columnar_store())
             return prepared
 
-    def generate_candidates(self, prepared: Dataset) -> set[Pair]:
-        """Step 2 — candidate pairs of the prepared dataset."""
+    def generate_candidates(self, prepared: Dataset) -> AbstractSet[Pair]:
+        """Step 2 — candidate pairs of the prepared dataset.
+
+        The built-in blockers return a
+        :class:`~repro.columnar.RowPairSet` over the rows of
+        ``prepared.columnar_store()`` — the layout :meth:`prepare`
+        built — which the comparison stage scores on its rows; a custom
+        generator may return any set of canonical pairs.
+        """
         with _tracing.span("pipeline.candidates", records=len(prepared)) as span:
             candidates = self.candidate_generator(prepared)
             span.annotate(pairs=len(candidates))
@@ -209,7 +223,7 @@ class MatchingPipeline:
             return candidates
 
     def compare_candidates(
-        self, prepared: Dataset, candidates: set[Pair]
+        self, prepared: Dataset, candidates: Iterable[Pair]
     ) -> Sequence[SimilarityVector]:
         """Step 3 — similarity vectors of the candidate pairs.
 

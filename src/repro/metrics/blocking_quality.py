@@ -21,6 +21,7 @@ cover records the current dataset slice does not).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from repro.core.experiment import GoldStandard
@@ -108,7 +109,7 @@ def evaluate_blocking(
 def evaluate_blocker(
     dataset: Dataset,
     gold: GoldStandard,
-    blocker: Callable[[Dataset], set[Pair]],
+    blocker: Callable[[Dataset], AbstractSet[Pair]],
 ) -> BlockingQuality:
     """Run ``blocker`` on ``dataset`` and score it against ``gold``.
 

@@ -21,7 +21,11 @@ delta is built as two ``int64`` lanes (:class:`DeltaIngest`), which a
 streaming session maps to its layout rows and scores without building
 a string pair — the dense-id, list-based processing of *Columnar
 Storage and List-based Processing for Graph DBMSs* (PAPERS.md).  The
-sorted canonical string pairs are built only when read.
+sorted canonical string pairs are built only when read.  Block keys
+come from the batch blockers' own key emitters
+(:func:`~repro.matching.blocking.single_key`,
+:func:`~repro.matching.blocking.token_keys`), so a stream and its
+batch blocker derive the same keys.
 
 The sorted-neighborhood method (and any windowed blocker) is
 deliberately *not* supported — its windowed candidates depend on the
@@ -33,17 +37,17 @@ misusing them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from repro.columnar.batch import _LOW_BITS, sorted_unique
 from repro.core.pairs import Pair, make_pair
 from repro.core.records import Record
-from repro.matching.blocking import BlockingKey
+from repro.matching.blocking import KeyEmitter, single_key, token_keys
 from repro.matching.lsh import LshConfig, MinHasher
-from repro.matching.similarity import tokenize
 
 __all__ = [
     "DeltaIngest",
@@ -52,10 +56,6 @@ __all__ = [
     "single_key",
     "token_keys",
 ]
-
-KeyEmitter = Callable[[Record], Sequence[str]]
-
-_LOW_BITS = np.int64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,47 +94,6 @@ class DeltaIngest:
             make_pair(ids[first], ids[second])
             for first, second in zip(self.firsts.tolist(), self.seconds.tolist())
         )
-
-
-def single_key(key: BlockingKey) -> KeyEmitter:
-    """Adapt a standard blocking key into a key emitter.
-
-    Records whose key is ``None`` emit no keys (they never become
-    candidates), mirroring
-    :func:`~repro.matching.blocking.standard_blocking`.
-    """
-
-    def keys(record: Record) -> Sequence[str]:
-        value = key(record)
-        return () if value is None else (value,)
-
-    return keys
-
-
-def token_keys(
-    attributes: Iterable[str] | None = None, min_token_length: int = 3
-) -> KeyEmitter:
-    """Key emitter reproducing token blocking: one key per (long) token.
-
-    Mirrors :func:`~repro.matching.blocking.token_blocking`: every
-    token of at least ``min_token_length`` characters across the given
-    attributes (default: all) becomes a block key.  Keys are emitted in
-    sorted order for deterministic pair emission.
-    """
-
-    def keys(record: Record) -> Sequence[str]:
-        names = attributes if attributes is not None else record.values.keys()
-        seen: set[str] = set()
-        for attribute in names:
-            value = record.value(attribute)
-            if not value:
-                continue
-            for token in tokenize(value):
-                if len(token) >= min_token_length:
-                    seen.add(token)
-        return sorted(seen)
-
-    return keys
 
 
 class IncrementalBlockingIndex:
@@ -216,8 +175,9 @@ class IncrementalBlockingIndex:
         """Like :meth:`ingest`, returning the delta as id lanes.
 
         Each touched block contributes its members × the new record;
-        one ``np.unique`` over packed ``first << 32 | second`` keys
-        de-duplicates pairs that share several blocks.  An exception
+        one sort of the packed ``first << 32 | second`` keys
+        (:func:`~repro.columnar.batch.sorted_unique`) de-duplicates
+        pairs that share several blocks.  An exception
         (a duplicate id or a failing key emitter) undoes this call's
         memberships before it propagates.
         """
@@ -259,7 +219,7 @@ class IncrementalBlockingIndex:
                 DeltaIngest(ids, _NO_IDS, _NO_IDS, memberships, record_ids)
             )
             raise
-        keys = np.unique(
+        keys = sorted_unique(
             (np.array(members_lane, dtype=np.int64) << 32)
             | np.repeat(np.array(emitters, dtype=np.int64), counts)
         )

@@ -6,9 +6,15 @@ of its two records (and, for purging blockers, the size of each key's
 block).  The two formulations must give the same candidate set on
 generated person records, on hand-made edge cases, on records whose key
 values are all missing and on the empty dataset.
+
+Blockers return row lanes that read as a set
+(:class:`~repro.columnar.RowPairSet`); the set contract — sorted
+iteration, exact ``in``, comparisons and algebra into plain sets — is
+checked against the reference sets too.
 """
 
 import logging
+import operator
 import os
 import random
 import subprocess
@@ -19,12 +25,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.columnar import RowPairSet
 from repro.core import Dataset, Record
 from repro.core.pairs import make_pair
 from repro.datagen import make_person_benchmark
 from repro.matching import blocking
+from repro.matching.attribute_matching import AttributeComparator
 from repro.matching.lsh import LshConfig, MinHasher, lsh_blocking
+from repro.matching.pipeline import MatchingPipeline
 from repro.matching.similarity import tokenize
+from repro.metrics.blocking_quality import evaluate_blocking
+from repro.streaming.session import mean_similarity
 from repro.telemetry.metrics import get_metrics
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -93,6 +104,10 @@ def decided_pairwise(dataset: Dataset, related) -> set:
         for a, b in combinations(dataset.record_ids, 2)
         if related(a, b)
     }
+
+
+def reference_full(dataset) -> set:
+    return decided_pairwise(dataset, lambda a, b: True)
 
 
 def reference_standard(dataset, key) -> set:
@@ -193,6 +208,7 @@ def test_lsh_blocking(dataset, config_name):
 
 
 BLOCKERS = {
+    "full": blocking.full_pairs,
     "standard": lambda d: blocking.standard_blocking(d, KEYS["first_token"]),
     "token": lambda d: blocking.token_blocking(d, max_block_size=30),
     "sorted_neighborhood": lambda d: blocking.sorted_neighborhood(
@@ -200,6 +216,141 @@ BLOCKERS = {
     ),
     "lsh": lambda d: lsh_blocking(d, LSH_CONFIGS["shingles_capped"]),
 }
+
+REFERENCES = {
+    "full": reference_full,
+    "standard": lambda d: reference_standard(d, KEYS["first_token"]),
+    "token": lambda d: reference_shared_keys(d, token_keys_of(), 30),
+    "sorted_neighborhood": lambda d: reference_sorted_neighborhood(
+        d, KEYS["first_token"], 4
+    ),
+    "lsh": lambda d: reference_shared_keys(
+        d,
+        MinHasher(LSH_CONFIGS["shingles_capped"]).keys_for,
+        LSH_CONFIGS["shingles_capped"].max_block_size,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def emitted(dataset):
+    """Each blocker's candidates on ``dataset`` next to its reference."""
+    return {
+        scheme: (BLOCKERS[scheme](dataset), REFERENCES[scheme](dataset))
+        for scheme in BLOCKERS
+    }
+
+
+@pytest.mark.parametrize("scheme", sorted(BLOCKERS))
+def test_iteration_is_the_sorted_reference(emitted, scheme):
+    candidates, reference = emitted[scheme]
+    assert isinstance(candidates, RowPairSet)
+    assert len(candidates) == len(reference)
+    assert list(candidates) == sorted(reference)  # so no pair repeats
+    # the lanes themselves are canonical and sorted, smaller id first
+    row_ids = candidates.store.row_ids
+    assert [
+        (row_ids[a], row_ids[b])
+        for a, b in zip(candidates.rows_a.tolist(), candidates.rows_b.tolist())
+    ] == sorted(reference)
+
+
+@pytest.mark.parametrize("scheme", sorted(BLOCKERS))
+def test_membership_agrees_with_the_reference(dataset, emitted, scheme):
+    candidates, reference = emitted[scheme]
+    ids = dataset.record_ids
+    for first, second in combinations(ids, 2):
+        for pair in ((first, second), (second, first)):
+            assert (pair in candidates) == (pair in reference), pair
+    strangers = [("zz-absent", "zz-gone")] + [
+        pair for record_id in ids[:3]
+        for pair in (("zz-absent", record_id), (record_id, "zz-absent"))
+    ]
+    for pair in strangers + [(record_id, record_id) for record_id in ids]:
+        assert pair not in candidates
+    for other in ("r01", (), ("a", "b", "c"), (["unhashable"], "r01")):
+        assert other not in candidates
+
+
+@pytest.mark.parametrize("scheme", sorted(BLOCKERS))
+def test_set_algebra_matches_the_reference(emitted, scheme):
+    candidates, reference = emitted[scheme]
+    assert candidates == reference and reference == candidates
+    assert candidates <= reference and reference <= candidates
+    assert candidates >= reference and not candidates < reference
+    probe = set(sorted(reference)[::2]) | {("zz-absent", "zz-gone")}
+    assert (candidates == probe) == (reference == probe)
+    assert (candidates <= probe) == (reference <= probe)
+    assert (probe <= candidates) == (probe <= reference)
+    for combine in (operator.or_, operator.and_, operator.sub, operator.xor):
+        for mine, theirs in ((candidates, probe), (probe, candidates)):
+            result = combine(mine, theirs)
+            assert type(result) is set
+            expected = combine(
+                reference if mine is candidates else mine,
+                reference if theirs is candidates else theirs,
+            )
+            assert result == expected
+
+
+@pytest.mark.parametrize("scheme", sorted(BLOCKERS))
+def test_blocking_quality_counts_lanes_like_their_plain_set(
+    dataset, emitted, scheme
+):
+    candidates, reference = emitted[scheme]
+    ordered = sorted(reference)
+    gold = ordered[::3] + [(b, a) for a, b in ordered[1::7]] + ordered[:2]
+    gold += [("zz-absent", "zz-gone")] + [
+        (record_id, "zz-absent") for record_id in dataset.record_ids[:2]
+    ]
+    gold += sorted(reference_full(dataset) - reference)[:5]
+    total = dataset.total_pairs()
+    assert evaluate_blocking(candidates, gold, total) == evaluate_blocking(
+        set(candidates), gold, total
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme", ["lsh", "sorted_neighborhood", "standard", "token"]
+)
+def test_lanes_score_like_their_plain_set(scheme):
+    """Lanes are scored on their rows, a plain set through its strings;
+    the experiments must be the same to the digest."""
+    def pipeline(generator):
+        return MatchingPipeline(
+            candidate_generator=generator,
+            comparator=AttributeComparator({
+                "first_name": "jaro_winkler",
+                "last_name": "jaro_winkler",
+                "city": "jaro_winkler",
+            }),
+            decision_model=mean_similarity,
+            threshold=0.8,
+        )
+
+    lanes = pipeline(BLOCKERS[scheme]).run(people())
+    plain = pipeline(lambda d: set(BLOCKERS[scheme](d))).run(people())
+    assert isinstance(lanes.candidates, RowPairSet)
+    assert type(plain.candidates) is set
+    assert lanes.candidates == plain.candidates
+    assert len(lanes.experiment) > 0
+    assert (
+        lanes.experiment.content_digest() == plain.experiment.content_digest()
+    )
+
+
+def test_token_blocking_reads_one_shot_attributes_once():
+    """Regression: a generator of attribute names was used up by the
+    first record, so later records had no tokens and never paired."""
+    dataset = Dataset([
+        Record(rid, {"first": "mary", "last": last})
+        for rid, last in (("a", "ann"), ("b", "bob"), ("c", "cyd"))
+    ])
+    listed = blocking.token_blocking(dataset, attributes=["first"])
+    assert listed == {("a", "b"), ("a", "c"), ("b", "c")}
+    assert blocking.token_blocking(
+        dataset, attributes=(name for name in ["first"])
+    ) == listed
 
 
 @pytest.mark.parametrize("scheme", sorted(BLOCKERS))

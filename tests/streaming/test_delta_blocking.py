@@ -108,6 +108,20 @@ class TestTokenIndex:
         )
         assert delta == []  # the shared token lives in an ignored attribute
 
+    def test_one_shot_attributes_serve_every_record(self):
+        """Regression: an iterator of attribute names was used up by the
+        first record, so every later record emitted no keys."""
+        records = [
+            Record(rid, {"first": "mary", "last": last})
+            for rid, last in (("a", "ann"), ("b", "bob"), ("c", "cyd"))
+        ]
+        emitter = token_keys(attributes=iter(["first"]))
+        assert [emitter(record) for record in records] == [["mary"]] * 3
+        index = IncrementalBlockingIndex(
+            token_keys(attributes=(name for name in ["first"]))
+        )
+        assert index.ingest(records) == [("a", "b"), ("a", "c"), ("b", "c")]
+
 
 class TestBlockSizeCap:
     def test_cap_stops_emission_but_keeps_membership(self):
