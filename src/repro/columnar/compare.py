@@ -28,8 +28,9 @@ The per-layout score memo: a kernel with a
 :attr:`~repro.columnar.kernels.Kernel.measure` keeps its scores in
 ``store.score_memo`` under the measure's identity, as one sorted array
 of packed ``vid_a << 32 | vid_b`` keys and one of scores.  A block
-probes the keys with one ``np.searchsorted`` and scores only the
-misses, behind the measures' process-wide ``lru_cache``.  Value ids
+probes the keys with one ``np.searchsorted`` and calls the measure
+only for the misses; it is the one memo of value-pair scores, so a
+fresh layout scores its pairs afresh.  Value ids
 never change in an append-only store, so entries stay valid across
 :meth:`~repro.columnar.ColumnarStore.extend`.  A memo holds at most
 :data:`~repro.columnar.kernels.MEMO_ENTRIES` keys (when full, it

@@ -14,10 +14,10 @@ scalar counterpart in :mod:`repro.matching.similarity`:
 * the numeric kernel evaluates the scalar's relative-distance formula
   elementwise in ``float64`` — IEEE-754 basic operations are
   deterministic, so each lane equals the scalar result bit for bit;
-* edit-distance and Jaro–Winkler kernels call the scalar functions
-  per distinct string pair behind a process-wide memo (identity by
-  construction), with Monge–Elkan additionally memoizing its *inner*
-  token-level similarity across the whole corpus vocabulary;
+* edit-distance, Jaro–Winkler and Monge–Elkan kernels call the scalar
+  functions per distinct string pair (identity by construction), with
+  Monge–Elkan memoizing its *inner* token-level similarity across the
+  whole corpus vocabulary;
 * the TF-IDF cosine kernel calls the fitted instance per distinct
   value pair, so even the float summation order matches;
 * any other measure runs on a generic :class:`MemoizedKernel` over the
@@ -30,7 +30,8 @@ The kernels that call a Python function per value pair
 (:class:`MemoizedKernel`, :class:`TfIdfKernel`) name it as their
 :attr:`Kernel.measure`; :func:`~repro.columnar.compare_block` memoizes
 their scores on the store, so a value pair scored by an earlier block
-of the same layout is not scored again.
+of the same layout is not scored again.  That layout memo is the one
+memo of value-pair scores; a fresh layout scores its pairs afresh.
 
 :func:`plan_for` maps every exact
 :class:`~repro.matching.attribute_matching.AttributeComparator` onto a
@@ -56,7 +57,6 @@ from repro.matching.similarity import (
     monge_elkan,
     ngram_jaccard,
     numeric_similarity,
-    ordered_sum,
     overlap_coefficient,
     soundex_similarity,
     token_jaccard,
@@ -64,8 +64,8 @@ from repro.matching.similarity import (
 
 __all__ = ["Kernel", "KernelPlan", "MEMO_ENTRIES", "plan_for", "kernel_for"]
 
-# Entries each score memo holds: the process-wide ``lru_cache``s below
-# and the per-layout memo of :func:`repro.columnar.compare_block`.
+# Entries the per-layout score memo of :func:`repro.columnar.compare_block`
+# holds per measure; it is the only memo of value-pair scores.
 MEMO_ENTRIES = 131072
 
 
@@ -293,44 +293,25 @@ class NumericKernel(Kernel):
 
 # -- memoized string kernels -------------------------------------------------
 
-# Distinct-pair memoization across stores and batches: the same two
-# strings are only ever scored once per process.  Scores come from the
-# scalar functions themselves, so identity holds by construction.
-_cached_levenshtein = lru_cache(maxsize=MEMO_ENTRIES)(levenshtein)
-_cached_jaro = lru_cache(maxsize=MEMO_ENTRIES)(jaro)
-_cached_jaro_winkler = lru_cache(maxsize=MEMO_ENTRIES)(jaro_winkler)
-
 
 @lru_cache(maxsize=262144)
 def _cached_inner_jaro_winkler(token_a: str, token_b: str) -> float:
-    """Monge–Elkan's inner measure, memoized over the token vocabulary."""
+    """Monge–Elkan's inner measure, memoized over the token vocabulary.
+
+    The one process-wide memo of the kernels: the layout memo keys
+    value pairs, while Monge–Elkan's inner loop repeats token pairs
+    across different value pairs.
+    """
     return jaro_winkler(token_a, token_b)
 
 
-@lru_cache(maxsize=MEMO_ENTRIES)
-def _cached_monge_elkan(first: str, second: str) -> float:
-    """:func:`~repro.matching.similarity.monge_elkan` with default inner.
+def _monge_elkan(first: str, second: str) -> float:
+    """:func:`~repro.matching.similarity.monge_elkan` on the memoized inner.
 
-    Re-implements the scalar's exact loop structure (same summation
-    order, same ``max`` scan) on top of the memoized inner measure —
-    bitwise identical, but each distinct token pair costs one Jaro–
-    Winkler evaluation per process instead of one per value pair.
+    The scalar itself, so identity holds by construction; each distinct
+    token pair costs one Jaro–Winkler evaluation per process.
     """
-    from repro.matching.similarity import _token_tuple
-
-    def one_way(tokens_a, tokens_b):
-        if not tokens_a:
-            return 1.0 if not tokens_b else 0.0
-        if not tokens_b:
-            return 0.0
-        return ordered_sum(
-            max(_cached_inner_jaro_winkler(token_a, token_b) for token_b in tokens_b)
-            for token_a in tokens_a
-        ) / len(tokens_a)
-
-    tokens_a = _token_tuple(first)
-    tokens_b = _token_tuple(second)
-    return (one_way(tokens_a, tokens_b) + one_way(tokens_b, tokens_a)) / 2.0
+    return monge_elkan(first, second, inner=_cached_inner_jaro_winkler)
 
 
 class MemoizedKernel(Kernel):
@@ -389,15 +370,13 @@ class KernelPlan:
 def _builders():
     return {
         exact: lambda: ExactKernel(),
-        levenshtein: lambda: MemoizedKernel("levenshtein", _cached_levenshtein),
-        jaro: lambda: MemoizedKernel("jaro", _cached_jaro),
-        jaro_winkler: lambda: MemoizedKernel(
-            "jaro_winkler", _cached_jaro_winkler
-        ),
+        levenshtein: lambda: MemoizedKernel("levenshtein", levenshtein),
+        jaro: lambda: MemoizedKernel("jaro", jaro),
+        jaro_winkler: lambda: MemoizedKernel("jaro_winkler", jaro_winkler),
         token_jaccard: lambda: TokenJaccardKernel(),
         overlap_coefficient: lambda: OverlapKernel(),
         ngram_jaccard: lambda: NgramJaccardKernel(),
-        monge_elkan: lambda: MemoizedKernel("monge_elkan", _cached_monge_elkan),
+        monge_elkan: lambda: MemoizedKernel("monge_elkan", _monge_elkan),
         soundex_similarity: lambda: SoundexKernel(),
         numeric_similarity: lambda: NumericKernel(),
     }

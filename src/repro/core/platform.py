@@ -19,7 +19,11 @@ from repro.core.diagrams import DiagramPoint, compute_diagram_optimized
 from repro.core.experiment import Experiment, GoldStandard
 from repro.core.records import Dataset
 
-__all__ = ["FrostPlatform", "BenchmarkEntry"]
+__all__ = ["FrostPlatform", "BenchmarkEntry", "MAX_DIAGRAM_SAMPLES"]
+
+# The most points one diagram may ask for: each sample builds a point,
+# and the served routes take the count from the client.
+MAX_DIAGRAM_SAMPLES = 10_000
 
 
 @dataclass
@@ -195,7 +199,15 @@ class FrostPlatform:
         gold_name: str,
         samples: int = 100,
     ) -> list[DiagramPoint]:
-        """Metric/metric diagram data via the optimized algorithm."""
+        """Metric/metric diagram data via the optimized algorithm.
+
+        Raises :class:`ValueError` for more than
+        :data:`MAX_DIAGRAM_SAMPLES` samples.
+        """
+        if samples > MAX_DIAGRAM_SAMPLES:
+            raise ValueError(
+                f"at most {MAX_DIAGRAM_SAMPLES} diagram samples, got {samples}"
+            )
         return compute_diagram_optimized(
             self.dataset(dataset_name),
             self.experiment(dataset_name, experiment_name),

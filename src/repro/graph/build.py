@@ -109,16 +109,12 @@ class GraphUpdater:
             for index, scored_pair in enumerate(scored):
                 first = graph.node_of(scored_pair.first)
                 second = graph.node_of(scored_pair.second)
-                breakdown = None
+                breakdown = row_breakdown = None
                 if vectors is not None:
-                    breakdown = json.dumps(
-                        dict(vectors[index].values), sort_keys=True
-                    )
+                    breakdown = dict(sorted(vectors[index].values.items()))
+                    row_breakdown = json.dumps(breakdown)
                 relabels = graph.add_edge(
-                    first,
-                    second,
-                    scored_pair.score,
-                    breakdown=None if breakdown is None else json.loads(breakdown),
+                    first, second, scored_pair.score, breakdown=breakdown
                 )
                 key = (first, second) if first < second else (second, first)
                 edge_rows.append(
@@ -127,7 +123,7 @@ class GraphUpdater:
                         key[1],
                         scored_pair.score,
                         scored_pair.score >= graph.threshold,
-                        breakdown,
+                        row_breakdown,
                     )
                 )
                 for node, label in relabels:

@@ -59,25 +59,6 @@ def _adjacency(pairs: Iterable[Pair]) -> dict[str, set[str]]:
     return adjacency
 
 
-def _components(adjacency: dict[str, set[str]]) -> list[set[str]]:
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        stack = [start]
-        component: set[str] = set()
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(adjacency[node] - component)
-        seen.update(component)
-        components.append(component)
-    return components
-
-
 def component_redundancy(pairs: Iterable[Iterable[str]]) -> float:
     """Average edge redundancy of the identity-link network's components.
 
@@ -86,29 +67,25 @@ def component_redundancy(pairs: Iterable[Iterable[str]]) -> float:
     link is uncorroborated), 1 for a complete graph (maximal mutual
     corroboration).  Components of size 2 are complete by construction
     and score 1.  Higher redundancy correlates with higher matching
-    quality [34].
+    quality [34].  The terms are summed in sorted-component order, so
+    the float result does not depend on set iteration order.
     """
     canonical = {make_pair(*pair) for pair in pairs}
     if not canonical:
         return 1.0
-    adjacency = _adjacency(canonical)
-    edge_count: dict[frozenset[str], int] = {}
-    components = _components(adjacency)
-    edges_in: list[int] = []
-    for component in components:
-        edges = sum(
-            1 for pair in canonical if pair[0] in component
-        )
-        edges_in.append(edges)
+    components = Clustering.from_pairs(canonical)
+    edges = [0] * len(components)
+    for first, _ in canonical:
+        edges[components.cluster_index(first)] += 1
     total = 0.0
-    for component, edges in zip(components, edges_in):
+    for component, count in sorted(zip(components, edges)):
         n = len(component)
         possible = n * (n - 1) // 2
         tree = n - 1
         if possible == tree:
             total += 1.0
         else:
-            total += (edges - tree) / (possible - tree)
+            total += (count - tree) / (possible - tree)
     return total / len(components)
 
 
