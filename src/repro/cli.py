@@ -972,6 +972,8 @@ def _command_stream_snapshot(args: argparse.Namespace, fmt: CsvFormat) -> int:
     from repro.storage.database import FrostStore
     from repro.streaming import open_session
 
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be non-negative, got {args.limit}")
     with FrostStore(args.store) as store:
         session = open_session(store, args.name)
         clusters = sorted(session.clusters().clusters)

@@ -99,8 +99,8 @@ class Kernel:
     def warm(self, store: ColumnarStore) -> None:
         """Precompute the derived arrays this kernel reads from ``store``.
 
-        Called at layout time (:meth:`MatchingPipeline.prepare`) so the
-        scoring pass itself touches only ready-made arrays — the columnar
+        Called at layout time (:meth:`KernelPlan.warm`) so the scoring
+        pass itself touches only ready-made arrays — the columnar
         analogue of paying import/layout cost at load, not per query.
         """
 
@@ -362,7 +362,13 @@ class KernelPlan:
     kernels: tuple[Kernel, ...]
 
     def warm(self, store: ColumnarStore) -> None:
-        """Precompute every derived array the plan's kernels will read."""
+        """Precompute every derived array the plan's kernels will read.
+
+        Layout time: :meth:`MatchingPipeline.generate_candidates
+        <repro.matching.pipeline.MatchingPipeline.generate_candidates>`
+        warms the prepared dataset's store before blocking it, and a
+        streaming session warms its layout after each extension.
+        """
         for kernel in self.kernels:
             kernel.warm(store)
 

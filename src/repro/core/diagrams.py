@@ -71,6 +71,15 @@ class DiagramPoint:
     matches_applied: int
     matrix: ConfusionMatrix
 
+    def as_dict(self) -> dict[str, object]:
+        """JSON-serializable point: ``threshold`` (``None`` at infinity),
+        ``matches``, then the matrix counts (engine and serving payloads)."""
+        return {
+            "threshold": None if math.isinf(self.threshold) else self.threshold,
+            "matches": self.matches_applied,
+            **self.matrix.as_dict(),
+        }
+
 
 def _sorted_scored_matches(experiment: Experiment) -> list[ScoredPair]:
     """Experiment matches sorted by descending score (ties: by pair)."""

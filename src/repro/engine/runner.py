@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
-import math
 import threading
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -677,16 +676,7 @@ class ExperimentEngine:
             "dataset": params["dataset"],
             "experiment": params["experiment"],
             "gold": params["gold"],
-            "points": [
-                {
-                    "threshold": (
-                        None if math.isinf(point.threshold) else point.threshold
-                    ),
-                    "matches": point.matches_applied,
-                    **point.matrix.as_dict(),
-                }
-                for point in points
-            ],
+            "points": [point.as_dict() for point in points],
         }
 
     def _pipeline_token(self, params: Mapping[str, object]) -> object:

@@ -228,8 +228,11 @@ def categorize_errors(
 
     ``limit`` caps the number of false negatives and false positives
     each that are categorized (both picked deterministically in sorted
-    pair order) — useful on large, low-precision experiments.
+    pair order) — useful on large, low-precision experiments.  A
+    negative ``limit`` raises ``ValueError``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     names = tuple(attributes) if attributes is not None else dataset.attributes
     experiment_pairs = experiment.pairs()
     gold_pairs = gold.pairs()

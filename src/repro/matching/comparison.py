@@ -66,10 +66,11 @@ def resolve_candidates(
     """Sorted resolvable pairs, their records, and missing record ids.
 
     ``records`` only needs item access by record id (a
-    :class:`~repro.core.records.Dataset`, a mapping, or the streaming
-    session's prepared view).  Pairs whose records were deleted between
-    blocking and scoring are dropped instead of raising ``KeyError`` —
-    the caller decides how loudly to report the returned missing ids.
+    :class:`~repro.core.records.Dataset`, or a mapping such as the
+    streaming session's registry of prepared records).  Pairs whose
+    records were deleted between blocking and scoring are dropped
+    instead of raising ``KeyError`` — the caller decides how loudly to
+    report the returned missing ids.
 
     Used by the serial row loop of comparators without a kernel plan;
     the kernel path resolves through store rows (:func:`_store_order`)

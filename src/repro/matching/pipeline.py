@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
-from repro.columnar import plan_for
+from repro.columnar import RowPairs, plan_for
 from repro.columnar.batch import (
     PairBatch,
     ScoredBatch,
@@ -186,10 +186,10 @@ class MatchingPipeline:
     def prepare(self, dataset: Dataset) -> Dataset:
         """Step 1 — apply the record-level preparers in order.
 
-        When the comparator has a kernel plan, the prepared dataset's
-        columnar layout (interned columns plus the kernels' derived
-        arrays) is built here too — column stores pay layout cost at
-        load time, so the comparison stage is pure scoring.
+        Only prepares records: the columnar layout is built by
+        :meth:`generate_candidates`, so a caller that never blocks the
+        prepared dataset (a streaming batch, which joins its session's
+        layout) builds none.
         """
         with _tracing.span("pipeline.prepare", records=len(dataset)):
             prepared_records = []
@@ -198,25 +198,27 @@ class MatchingPipeline:
                     record = preparer(record)
                 prepared_records.append(record)
             _RECORDS_PREPARED.inc(len(prepared_records))
-            prepared = Dataset(
+            return Dataset(
                 prepared_records, name=f"{dataset.name}-prepared",
                 attributes=dataset.attributes,
             )
-            plan = plan_for(self.comparator)
-            if plan is not None:
-                plan.warm(prepared.columnar_store())
-            return prepared
 
     def generate_candidates(self, prepared: Dataset) -> AbstractSet[Pair]:
         """Step 2 — candidate pairs of the prepared dataset.
 
+        When the comparator has a kernel plan, the prepared dataset's
+        columnar layout, ``prepared.columnar_store()`` (interned columns
+        plus the kernels' derived arrays), is built and warmed first,
+        so the generator and the comparison stage read a ready layout.
         The built-in blockers return a
-        :class:`~repro.columnar.RowPairSet` over the rows of
-        ``prepared.columnar_store()`` — the layout :meth:`prepare`
-        built — which the comparison stage scores on its rows; a custom
-        generator may return any set of canonical pairs.
+        :class:`~repro.columnar.RowPairSet` over its rows, which the
+        comparison stage scores on those rows; a custom generator may
+        return any set of canonical pairs.
         """
         with _tracing.span("pipeline.candidates", records=len(prepared)) as span:
+            plan = plan_for(self.comparator)
+            if plan is not None:
+                plan.warm(prepared.columnar_store())
             candidates = self.candidate_generator(prepared)
             span.annotate(pairs=len(candidates))
             _CANDIDATES_GENERATED.inc(len(candidates))
@@ -233,6 +235,9 @@ class MatchingPipeline:
         ``prepared`` only needs item access by record id, which lets
         the streaming subsystem reuse this stage over its live record
         registry without materializing a :class:`Dataset`.
+        :class:`~repro.columnar.RowPairs` are scored on the store they
+        index; other candidates on the layout of ``prepared`` if
+        :meth:`generate_candidates` built one.
 
         Kernel-scored candidates come back as a
         :class:`~repro.columnar.PairBatch` (score lanes read as a lazy
@@ -248,11 +253,12 @@ class MatchingPipeline:
                 prepared,
                 candidates,
                 self.comparator,
-                # score against the layout prepare() built, or the one a
-                # streaming session's registry view carries; ad-hoc
-                # mappings pass None and the comparison stage interns
-                # just the touched records
-                store=getattr(prepared, "_columnar_store", None),
+                # ad-hoc mappings and unblocked datasets pass None, and
+                # the comparison stage interns just the touched records
+                store=(
+                    candidates.store if isinstance(candidates, RowPairs)
+                    else getattr(prepared, "_columnar_store", None)
+                ),
             )
             span.annotate(vectors=len(vectors), missing=len(missing))
         if missing:

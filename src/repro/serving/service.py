@@ -30,7 +30,6 @@ bytes.
 from __future__ import annotations
 
 import logging
-import math
 import threading
 
 from repro.core.platform import FrostPlatform
@@ -204,18 +203,7 @@ class ServingLayer:
             return {
                 "experiment": experiment_name,
                 "gold": gold_name,
-                "points": [
-                    {
-                        "threshold": (
-                            None
-                            if math.isinf(point.threshold)
-                            else point.threshold
-                        ),
-                        "matches": point.matches_applied,
-                        **point.matrix.as_dict(),
-                    }
-                    for point in points
-                ],
+                "points": [point.as_dict() for point in points],
             }
 
         return self._fetch("serving:diagram", dataset_name, token, compute)

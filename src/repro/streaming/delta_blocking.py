@@ -17,9 +17,10 @@ The same decomposition covers approximate blocking:
 delta/batch equivalence holds for LSH too.
 
 Blocks hold dense integer *index ids*, not record-id strings: a
-delta is built as two ``int64`` lanes (:class:`DeltaIngest`), which a
-streaming session maps to its layout rows and scores without building
-a string pair — the dense-id, list-based processing of *Columnar
+delta is built as two ``int64`` lanes (:class:`DeltaIngest`).  A
+streaming session's index ids are its numeric ids, live and resumed,
+so it scores those lanes as rows of its layout without building a
+string pair — the dense-id, list-based processing of *Columnar
 Storage and List-based Processing for Graph DBMSs* (PAPERS.md).  The
 sorted canonical string pairs are built only when read.  Block keys
 come from the batch blockers' own key emitters
@@ -68,8 +69,11 @@ class DeltaIngest:
     ``(first, second)`` id (arrival order, not record-id order).
 
     ``ids`` is the index's id table (index id → record id, in the order
-    the index first saw each record), shared with the index and only
-    ever appended to while the delta stands.  ``memberships`` are the
+    the index first saw each record, or the table :meth:`restore
+    <IncrementalBlockingIndex.restore>` was given), shared with the
+    index and only ever appended to while the delta stands.  A
+    streaming session feeds its records in numeric-id order, so the
+    lanes are its numeric ids.  ``memberships`` are the
     ``(block_key, record_id)`` rows this ingest added — exactly what a
     durable session must persist (and retract on a failed persist),
     without rescanning the whole index — and ``record_ids`` the
@@ -100,7 +104,8 @@ class IncrementalBlockingIndex:
     """Live block index that emits only delta candidate pairs on ingest.
 
     Record ids are interned to dense *index ids* in the order the index
-    first sees them (:attr:`ids`), and blocks hold those integers, so a
+    first sees them, or as :meth:`restore` is given them (:attr:`ids`),
+    and blocks hold those integers, so a
     delta is built as integer lanes (:class:`DeltaIngest`) and the
     string pairs exist only where something reads them.
 
@@ -260,24 +265,38 @@ class IncrementalBlockingIndex:
         while ids and id_of.get(ids[-1]) != len(ids) - 1:
             ids.pop()
 
-    def restore(self, memberships: Iterable[tuple[str, str]]) -> None:
-        """Rebuild the index from persisted ``(block_key, record_id)`` rows.
+    def restore(
+        self, ids: Iterable[str], memberships: Iterable[tuple[str, str]]
+    ) -> None:
+        """Rebuild the index from an id table and persisted block rows.
 
         Used when resuming a durable session; emits nothing.  Must be
-        called on an empty index.  Ids are interned in row order, so a
-        restored index's ids follow the rows, not the original arrival
-        order, and records without a membership get none.
+        called on an empty index.  ``ids`` becomes the id table as
+        given — a session passes its record ids in numeric-id order,
+        records without a block key included — so the restored index
+        equals the one the session built live.  ``memberships`` are the
+        persisted ``(block_key, record_id)`` rows; a row naming an id
+        outside ``ids`` raises ``ValueError`` and leaves the index
+        empty.
         """
-        id_of = self._id_of
-        if id_of:
+        if self._id_of:
             raise ValueError("restore() requires an empty index")
-        ids = self._ids
+        table = list(ids)
+        id_of = {record_id: member for member, record_id in enumerate(table)}
+        if len(id_of) != len(table):
+            raise ValueError("restore() needs distinct record ids")
+        blocks: dict[str, list[int]] = {}
         for key, record_id in memberships:
             member = id_of.get(record_id)
             if member is None:
-                member = id_of[record_id] = len(ids)
-                ids.append(record_id)
-            self._blocks.setdefault(key, []).append(member)
+                raise ValueError(
+                    f"block {key!r} names record {record_id!r}, "
+                    "which is not in the id table"
+                )
+            blocks.setdefault(key, []).append(member)
+        self._ids.extend(table)  # the table deltas share stays the same list
+        self._id_of = id_of
+        self._blocks = blocks
 
 
 _NO_IDS = np.empty(0, dtype=np.int64)

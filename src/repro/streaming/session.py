@@ -13,16 +13,17 @@ blocking is exact for key-based schemes and connected components are
 order-independent — the clustering after ``k`` ingests is identical to
 a full batch recompute over the union of all ingested records.
 
-Each session owns one append-only columnar layout
-(:class:`~repro.columnar.ColumnarStore`) whose rows are its numeric ids:
-built on the first ingest (or adopted from the resumed records'
-prepared dataset), extended by every batch, and scored against by the
-comparison stage, so a batch interns only its own records.  The delta
-reaches the comparison stage as integers end to end: the index emits
-index-id lanes, one ``int64`` array maps index ids to layout rows
-(the two differ after a resume), and the stage orders and scores those
-rows (:class:`~repro.columnar.RowPairs`); record-id strings are built
-only for accepted pairs, or wherever a consumer reads the pairs.
+A stream record has one integer from ingest through resume, its
+numeric id: the blocking index's id for it, and its row in the
+session's one append-only columnar layout
+(:class:`~repro.columnar.ColumnarStore`).  The layout is built from
+the whole registry on the first ingest of a fresh, resumed or
+rolled-back session, extended by every later batch, and scored against
+by the comparison stage, so a batch interns only its own records.  The
+delta reaches the comparison stage as integers end to end: the index's
+lanes are layout rows as they stand
+(:class:`~repro.columnar.RowPairs`); record-id strings are built only
+for accepted pairs, or wherever a consumer reads the pairs.
 
 Sessions are optionally durable: given a
 :class:`~repro.storage.database.FrostStore`, every ingest persists the
@@ -40,8 +41,6 @@ import threading
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.columnar import (
     ColumnarStore,
     KernelPlan,
@@ -57,7 +56,7 @@ from repro.core.records import Dataset, Record
 from repro.core.unionfind import PairCountingUnionFind
 from repro.matching.attribute_matching import SimilarityVector
 from repro.matching.pipeline import MatchingPipeline
-from repro.streaming.delta_blocking import DeltaIngest, IncrementalBlockingIndex
+from repro.streaming.delta_blocking import IncrementalBlockingIndex
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.spans import get_tracer
 
@@ -151,29 +150,6 @@ class StreamSnapshot:
         }
 
 
-class _PreparedView:
-    """Minimal mapping view so pipeline stage methods can index records.
-
-    :meth:`MatchingPipeline.compare_candidates` only needs
-    ``prepared[record_id]``; this avoids rebuilding a full
-    :class:`Dataset` over all session records on every ingest (which
-    would defeat the point of incrementality).  It carries the
-    session's layout where a prepared :class:`Dataset` carries its own,
-    so the comparison stage scores against it.
-    """
-
-    __slots__ = ("_records", "_columnar_store")
-
-    def __init__(
-        self, records: Mapping[str, Record], layout: ColumnarStore | None
-    ) -> None:
-        self._records = records
-        self._columnar_store = layout
-
-    def __getitem__(self, record_id: str) -> Record:
-        return self._records[record_id]
-
-
 class StreamingMatcher:
     """A live matching session with incremental cluster maintenance.
 
@@ -216,11 +192,9 @@ class StreamingMatcher:
         self._snapshots: list[StreamSnapshot] = []
         self._accepted: list[ScoredPair] = []
         # Columnar layout of the prepared records, rows = numeric ids;
-        # None until the first ingest or after a rolled-back one.
+        # None until the first ingest after construction, a resume or
+        # a rolled-back ingest.
         self._layout: ColumnarStore | None = None
-        # index id -> numeric id (= layout row), one entry per id in
-        # the index's id table
-        self._index_rows = np.empty(0, dtype=np.int64)
         self._graph = None
         self._lock = threading.Lock()
         if store is not None and not _resuming:
@@ -410,7 +384,6 @@ class StreamingMatcher:
 
         # Everything from here on is undone if it raises, so a failed
         # scoring, decision or persist leaves the session as it was.
-        index_rows = self._index_rows
         accepted_before = len(self._accepted)
         delta = unionfind_backup = None
         try:
@@ -422,9 +395,13 @@ class StreamingMatcher:
             # Steps 2-4 on the delta only.
             with get_tracer().span("stream.delta_index", records=len(batch)):
                 delta = self.index.ingest_delta(prepared)
-                candidates = self._delta_candidates(delta)
+                # index ids are numeric ids, so the lanes are layout rows
+                candidates = (
+                    delta.pairs if self._layout is None
+                    else RowPairs(self._layout, delta.firsts, delta.seconds)
+                )
             vectors = self.pipeline.compare_candidates(
-                _PreparedView(self._prepared, self._layout), candidates
+                self._prepared, candidates
             )
             scored = self.pipeline.score_vectors(vectors)
 
@@ -459,7 +436,6 @@ class StreamingMatcher:
                                         snapshot)
         except BaseException:
             self._layout = None
-            self._index_rows = index_rows
             if delta is not None:
                 self.index.retract(delta)
             if unionfind_backup is not None:
@@ -485,37 +461,12 @@ class StreamingMatcher:
         self._snapshots.append(snapshot)
         return snapshot
 
-    def _delta_candidates(self, delta: DeltaIngest):
-        """The delta's pairs as layout rows, or as strings without a layout.
-
-        Extends the index-id → row map by the ids the index added, then
-        maps both lanes through it in two array lookups.
-        """
-        added = delta.ids[len(self._index_rows):]
-        if added:
-            numeric = self._numeric
-            self._index_rows = np.concatenate((
-                self._index_rows,
-                np.fromiter(
-                    map(numeric.__getitem__, added),
-                    dtype=np.int64,
-                    count=len(added),
-                ),
-            ))
-        if self._layout is None:
-            return delta.pairs
-        return RowPairs(
-            self._layout,
-            self._index_rows[delta.firsts],
-            self._index_rows[delta.seconds],
-        )
-
     def _extend_layout(self, prepared: Dataset, plan: KernelPlan) -> None:
         """Append the prepared batch to the layout, building it if absent.
 
         The registry already holds the batch, so a missing layout (a
-        fresh session, or one whose last ingest rolled back) is built
-        from the whole registry in numeric-id order instead.
+        fresh or resumed session, or one whose last ingest rolled back)
+        is built from the whole registry in numeric-id order instead.
         """
         if self._layout is None:
             self._layout = ColumnarStore.from_records(
@@ -566,10 +517,11 @@ class StreamingMatcher:
         """Reopen a durable session from its stream tables.
 
         Rebuilds the record registry, re-runs preparation on the stored
-        raw records, restores the block index from the persisted
-        memberships, and replays the merge log into a fresh union-find
-        (the clustering — though not the internal generation ids — is
-        identical to the original session's).
+        raw records, restores the block index from the registry's ids
+        in numeric-id order and the persisted memberships, and replays
+        the merge log into a fresh union-find (the clustering — though
+        not the internal generation ids — is identical to the original
+        session's).  The layout is built on the first ingest.
         """
         from repro.streaming.config import build_pipeline_and_index
 
@@ -598,18 +550,12 @@ class StreamingMatcher:
             )
             for record in prepared:
                 session._prepared[record.record_id] = record
-            # prepare() laid the records out in numeric-id order already
-            session._layout = getattr(prepared, "_columnar_store", None)
         index.restore(
-            (key, session._native[numeric_id])
-            for key, numeric_id in state["blocks"]
-        )
-        # restore() interned the ids in block-key order, and records
-        # without a key have none: map its table to numeric ids
-        session._index_rows = np.fromiter(
-            map(session._numeric.__getitem__, index.ids),
-            dtype=np.int64,
-            count=len(index.ids),
+            session._native,
+            (
+                (key, session._native[numeric_id])
+                for key, numeric_id in state["blocks"]
+            ),
         )
         for batch_index, first, second, score in state["merges"]:
             session._unionfind.union(first, second)

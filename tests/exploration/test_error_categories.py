@@ -178,6 +178,11 @@ class TestCategorizeErrors:
         assert len(result.false_negatives) == 1
         assert len(result.false_positives) == 1
 
+    def test_negative_limit_is_refused(self, typo_scenario):
+        dataset, experiment, gold = typo_scenario
+        with pytest.raises(ValueError, match="non-negative"):
+            categorize_errors(dataset, experiment, gold, limit=-1)
+
     def test_attribute_subset(self, typo_scenario):
         dataset, experiment, gold = typo_scenario
         result = categorize_errors(dataset, experiment, gold, attributes=["city"])

@@ -17,7 +17,7 @@ from repro.matching.comparison import resolve_candidates, score_candidates
 
 
 class _Registry:
-    """Dict-backed record lookup, like the streaming prepared view."""
+    """Dict-backed record lookup, like the streaming session's registry."""
 
     def __init__(self, records):
         self._records = {record.record_id: record for record in records}

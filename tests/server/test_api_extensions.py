@@ -51,6 +51,15 @@ class TestCategorizeRoute:
             api.handle("/datasets/people/categorize", {"exp": "people-run"})
         assert excinfo.value.status == 400
 
+    def test_negative_limit_is_400(self, api):
+        with pytest.raises(ApiError) as excinfo:
+            api.handle(
+                "/datasets/people/categorize",
+                {"exp": "people-run", "gold": "people-gold", "limit": "-1"},
+            )
+        assert excinfo.value.status == 400
+        assert "non-negative" in excinfo.value.message
+
     def test_unknown_experiment_is_404(self, api):
         with pytest.raises(ApiError) as excinfo:
             api.handle(

@@ -149,7 +149,7 @@ class TestRestore:
         index.ingest([person("a", "smith"), person("b", "smith"),
                       person("c", "jones")])
         clone = IncrementalBlockingIndex(single_key(first_token_key("last")))
-        clone.restore(index.block_items())
+        clone.restore(index.ids, index.block_items())
         assert clone.block_items() == index.block_items()
         # the restored index continues emitting correct deltas
         assert clone.ingest([person("d", "smith")]) == [
@@ -173,7 +173,40 @@ class TestRestore:
         index = IncrementalBlockingIndex(single_key(first_token_key("last")))
         index.ingest([person("a", "smith")])
         with pytest.raises(ValueError, match="empty"):
-            index.restore([("smith", "b")])
+            index.restore(["b"], [("smith", "b")])
+
+    def test_restore_interns_the_id_table_before_the_rows(self):
+        index = IncrementalBlockingIndex(single_key(first_token_key("last")))
+        # "a" has no block key: it keeps its id all the same
+        index.restore(["c", "a", "b"], [("smith", "b"), ("smith", "c")])
+        assert list(index.ids) == ["c", "a", "b"]
+        assert len(index) == 3 and "a" in index
+        assert index.block_items() == [("smith", "b"), ("smith", "c")]
+        delta = index.ingest_delta([person("d", "smith")])
+        assert list(index.ids) == ["c", "a", "b", "d"]
+        assert (delta.firsts.tolist(), delta.seconds.tolist()) == (
+            [0, 2], [3, 3]
+        )
+        assert delta.pairs == [("b", "d"), ("c", "d")]
+
+    @pytest.mark.parametrize(
+        "ids, rows, message",
+        [
+            (["a", "b"], [("smith", "a"), ("smith", "z")],
+             "'z'.*not in the id table"),
+            (["a", "a"], [("smith", "a")], "distinct"),
+        ],
+        ids=["row-outside-the-table", "repeated-id"],
+    )
+    def test_restore_rejects_an_inconsistent_table(self, ids, rows, message):
+        index = IncrementalBlockingIndex(single_key(first_token_key("last")))
+        with pytest.raises(ValueError, match=message):
+            index.restore(ids, rows)
+        # the index is left empty, so it can still be restored
+        assert len(index) == 0 and list(index.ids) == []
+        assert index.block_count == 0
+        index.restore(["a", "b"], [("smith", "a"), ("smith", "b")])
+        assert index.block_items() == [("smith", "a"), ("smith", "b")]
 
 
 SLICE_KEYS = {

@@ -69,10 +69,12 @@ class ReferenceIndex:
                 del self.blocks[key]
         self.records.difference_update(record_ids)
 
-    def restore(self, memberships):
+    def restore(self, ids, memberships):
+        self.records.update(ids)
         for key, record_id in memberships:
+            if record_id not in self.records:
+                raise ValueError(f"record {record_id!r} is not in the id table")
             self.blocks.setdefault(key, []).append(record_id)
-            self.records.add(record_id)
 
     def block_items(self):
         return sorted(
@@ -175,8 +177,9 @@ def test_lanes_emit_what_the_string_loop_emits(make, seed):
 
     # a restored index keeps emitting what the reference emits
     restored, reference_restored = make()
-    restored.restore(index.block_items())
-    reference_restored.restore(reference.block_items())
+    restored.restore(index.ids, index.block_items())
+    reference_restored.restore(reference.records, reference.block_items())
+    assert list(restored.ids) == list(index.ids)
     assert_same_state(restored, reference_restored, every_id)
     for batch in splits(rng, corpus(rng, 20)):
         delta = restored.ingest_delta(batch)

@@ -1,14 +1,15 @@
 """Streaming on integer rows: rollback, resume and the layout score memo.
 
-A session scores its delta as layout rows mapped from the index's ids.
-These tests pin what that must not change:
+A session scores its delta lanes as layout rows: the index's ids are
+the session's numeric ids.  These tests pin what that must not change:
 
 * a batch whose scoring or decision raises leaves the session exactly
-  as before it — registry, index, id→row map, layout, union-find — so
-  the corrected batch ingests, and a resumed durable session equals
+  as before it — registry, index and its id table, layout, union-find —
+  so the corrected batch ingests, and a resumed durable session equals
   the live one;
-* a resumed session, whose index ids follow the persisted block rows
-  and skip keyless records, keeps ingesting like an uninterrupted one;
+* a resumed session, whose index is restored from its numeric-id
+  table (keyless records included) and the persisted block rows,
+  equals the uninterrupted session's index and keeps ingesting like it;
 * a batch whose value pairs earlier batches already scored is served
   from the layout's score memo without calling the measure;
 * threads scoring one shared layout at once get the serial vectors.
@@ -63,7 +64,7 @@ def live_state(session):
         [snapshot.as_dict() for snapshot in session.snapshots],
         [(sp.pair, sp.score) for sp in session._accepted],
         session.index.block_items(),
-        session._index_rows.tolist(),
+        list(session.index.ids),
         list(session._native),
         dict(session._numeric),
         sorted(session._prepared),
@@ -128,7 +129,7 @@ def test_a_failed_scoring_leaves_the_session_untouched(
         )
 
 
-# -- resume: index ids are not layout rows --------------------------------
+# -- resume: the index ids stay the numeric ids ---------------------------
 
 TOKEN_CONFIG = {
     "key": {"kind": "token", "attributes": ["last", "city"],
@@ -156,6 +157,13 @@ def token_batches(count=6, size=12, seed=5):
     return [rows[start:start + size] for start in range(0, len(rows), size)]
 
 
+def assert_same_index(resumed, live, keyless):
+    assert len(resumed) == len(live)
+    assert all(record_id in resumed for record_id in keyless)
+    assert list(resumed.ids) == list(live.ids)
+    assert resumed.block_items() == live.block_items()
+
+
 def test_a_resumed_session_with_keyless_records_ingests_like_an_uninterrupted_one():
     everything = token_batches()
     store = FrostStore(":memory:")
@@ -163,20 +171,23 @@ def test_a_resumed_session_with_keyless_records_ingests_like_an_uninterrupted_on
     for batch in everything[:3]:
         session.ingest(batch)
     resumed = open_session(store, "s")
-    # some records have no key, and restore() interns in block-key
-    # order: the resumed index ids are not the layout rows
-    assert len(resumed.index.ids) < resumed.record_count
-    assert resumed._index_rows.tolist() != list(range(len(resumed._index_rows)))
-    assert [resumed._native[row] for row in resumed._index_rows.tolist()] == (
-        list(resumed.index.ids)
-    )
-    for batch in everything[3:]:
-        resumed.ingest(batch)
-
     reference_store = FrostStore(":memory:")
     reference = build_session(TOKEN_CONFIG, store=reference_store, name="s")
-    for batch in everything:
+    for batch in everything[:3]:
         reference.ingest(batch)
+    # some records have no block key; they keep their numeric id in the
+    # restored index all the same, so it equals the live one
+    keyless = [
+        row["id"] for batch in everything[:3] for row in batch
+        if not row["last"] and not row["city"]
+    ]
+    assert keyless
+    assert_same_index(resumed.index, reference.index, keyless)
+    assert list(resumed.index.ids) == resumed._native
+    for batch in everything[3:]:
+        resumed.ingest(batch)
+        reference.ingest(batch)
+        assert_same_index(resumed.index, reference.index, keyless)
     assert resumed.snapshots == reference.snapshots
     assert sum(s.accepted_matches for s in reference.snapshots) > 0
     assert [(sp.pair, sp.score) for sp in resumed._accepted] == [
@@ -261,8 +272,10 @@ def test_threads_scoring_one_layout_get_the_serial_vectors():
         deadline = time.monotonic() + STRESS_SECONDS
         rounds = 0
         while rounds < 2 or time.monotonic() < deadline:
-            # a fresh layout per round, so every round races on misses
+            # a fresh layout per round, so every round races on misses;
+            # generate_candidates lays the prepared dataset out
             prepared = pipeline.prepare(dataset)
+            pipeline.generate_candidates(prepared)
             barrier = threading.Barrier(threads, timeout=JOIN_SECONDS)
 
             def score(offset, prepared=prepared, barrier=barrier):

@@ -471,6 +471,34 @@ class TestStreamCli:
         assert "p1 p2 p5" in output
         assert "p3 p4" in output
 
+    def test_snapshot_refuses_a_negative_limit(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = str(tmp_path / "s.db")
+        day1 = tmp_path / "day1.csv"
+        self._write_csv(day1, ROWS_ONE + ROWS_TWO)
+        assert main([
+            "stream", "init", "--store", store, "--name", "crm",
+            "--key-attribute", "last",
+            "--similarity", "first=jaro_winkler",
+            "--similarity", "last=jaro_winkler",
+            "--threshold", "0.8",
+        ]) == 0
+        assert main([
+            "stream", "ingest", "--store", store, "--name", "crm",
+            "--dataset", str(day1),
+        ]) == 0
+        capsys.readouterr()
+        snapshot = ["stream", "snapshot", "--store", store, "--name", "crm"]
+        assert main([*snapshot, "--limit", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-negative" in captured.err
+        assert main([*snapshot, "--limit", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  p1 p2 p5", "  ... 1 more"
+        ]
+
     def test_init_requires_key_attribute(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -3,9 +3,9 @@
 Every ingest extends the layout with its prepared batch and scores the
 delta against it.  Each batch's lanes must be bit-identical to scoring
 on a store built from just the records that batch's pairs touch; a
-resumed session adopts the layout ``prepare()`` built, whose rows are
-the session's numeric ids; and a session builds one store per ingested
-batch (the batch's own, in ``prepare()``), plus the layout once.
+resumed session lays out on its first ingest, rows = the session's
+numeric ids; and a session builds one store in its whole life, the
+layout, while a batch builds none.
 """
 
 import random
@@ -100,14 +100,14 @@ def test_layout_rows_are_the_session_numeric_ids():
         assert_rows_are_numeric_ids(session)
 
 
-def test_resume_adopts_the_prepared_layout():
+def test_resume_lays_out_on_its_first_ingest():
     store = FrostStore(":memory:")
     everything = batches()
     session = build_session(CONFIG, store=store, name="s")
     for batch in everything[:3]:
         session.ingest(batch)
     resumed = open_session(store, "s")
-    assert_rows_are_numeric_ids(resumed)
+    assert resumed._layout is None
     for batch in everything[3:]:
         resumed.ingest(batch)
         assert_rows_are_numeric_ids(resumed)
@@ -120,20 +120,29 @@ def test_resume_adopts_the_prepared_layout():
     )
 
 
-def test_one_store_build_per_ingested_batch():
+def test_one_store_build_per_session():
     builds = get_metrics().counter("frost_kernel_store_builds_total")
     store = FrostStore(":memory:")
     everything = batches()
-    session = build_session(CONFIG, store=store, name="s")
     before = builds.value
-    session.ingest(everything[0])
-    assert builds.value == before + 2  # the batch's store and the layout
-    for batch in everything[1:3]:
-        before = builds.value
+    session = build_session(CONFIG, store=store, name="s")
+    for batch in everything[:3]:
         session.ingest(batch)
-        assert builds.value == before + 1
+    assert builds.value == before + 1  # the layout, on the first ingest
+    before = builds.value
     resumed = open_session(store, "s")
+    assert builds.value == before
     for batch in everything[3:]:
-        before = builds.value
         resumed.ingest(batch)
-        assert builds.value == before + 1
+    assert builds.value == before + 1  # the resumed session's layout
+
+
+def test_one_store_build_per_pipeline_run():
+    builds = get_metrics().counter("frost_kernel_store_builds_total")
+    session = build_session(CONFIG)
+    for batch in batches():
+        session.ingest(batch)
+    dataset = session.dataset()
+    before = builds.value
+    session.pipeline.run(dataset)
+    assert builds.value == before + 1

@@ -119,7 +119,7 @@ class TestIncrementalLshIndex:
              Record("c", {"name": "unrelated tokens"})]
         )
         clone = IncrementalLshIndex()
-        clone.restore(index.block_items())
+        clone.restore(index.ids, index.block_items())
         assert clone.block_items() == index.block_items()
         # the restored index keeps emitting correct deltas
         assert clone.ingest([Record("d", {"name": "john smith"})]) == [

@@ -237,6 +237,19 @@ class TestCategorize:
         assert code == 0
         assert "Error categorization" in out
 
+    def test_negative_limit_fails_cleanly(self, files, capsys):
+        code, out, err = run(
+            capsys,
+            "categorize",
+            "--dataset", files / "d.csv",
+            "--gold", files / "g.csv",
+            "--experiment", files / "e.csv",
+            "--limit", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "non-negative" in err
+
     def test_separator_option(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("id;name\nr1;a\nr2;b\n")
         (tmp_path / "g.csv").write_text("p1;p2\nr1;r2\n")
