@@ -92,37 +92,6 @@ class DynamicIntersection:
                 target_map[truth_cluster] = self._clusters.find(anchor)
             self._map[entry.target] = target_map
 
-    @classmethod
-    def from_graph(cls, graph, truth_of: Sequence[int]) -> "DynamicIntersection":
-        """An intersection seeded from a match graph's components.
-
-        ``graph`` is a :class:`~repro.graph.model.MatchGraph` whose
-        dense node ids line up with ``truth_of`` indices.  The graph's
-        components *are* the experiment clustering, so instead of
-        replaying individual merges the components are folded in
-        wholesale — the resulting intersection (pair count, clusters)
-        is identical to feeding the same merges through
-        :meth:`update`, which the equivalence tests pin down.
-        """
-        if graph.node_count != len(truth_of):
-            raise ValueError(
-                f"graph has {graph.node_count} nodes but truth_of covers "
-                f"{len(truth_of)} records"
-            )
-        intersection = cls(truth_of)
-        mirror = PairCountingUnionFind(graph.node_count)
-        components = graph.component_nodes()
-        for label in sorted(components):
-            members = components[label]
-            if len(members) < 2:
-                continue
-            anchor = members[0]
-            merges = mirror.tracked_union(
-                (anchor, other) for other in members[1:]
-            )
-            intersection.update(merges)
-        return intersection
-
     def copy(self) -> "DynamicIntersection":
         """An independent deep copy (used for timeline checkpoints)."""
         clone = DynamicIntersection.__new__(DynamicIntersection)

@@ -203,8 +203,6 @@ class ExperimentEngine:
         persist in its ``result_cache`` table across processes.
     max_workers:
         Thread-pool width for independent jobs.
-    cache_entries:
-        In-memory LRU capacity of the result cache.
     max_history:
         Bound on retained job records: once exceeded, the oldest
         terminal jobs (and their payloads) are dropped at submit time,
@@ -217,7 +215,6 @@ class ExperimentEngine:
         platform: FrostPlatform,
         store: FrostStore | None = None,
         max_workers: int = 4,
-        cache_entries: int = 512,
         max_history: int = 4096,
     ) -> None:
         if max_workers < 1:
@@ -227,7 +224,7 @@ class ExperimentEngine:
         self.platform = platform
         self.max_workers = max_workers
         self.max_history = max_history
-        self.cache = ResultCache(max_entries=cache_entries, store=store)
+        self.cache = ResultCache(store=store)
         self._entries: dict[str, _Entry] = {}
         self._lock = threading.RLock()
         self._drain_thread: threading.Thread | None = None

@@ -71,12 +71,6 @@ class ErrorAnalysis:
         ``O(n^4)`` in the worst case and suggests "a simple distance
         measure for a set of promising pairs internally" — pass a
         restricted ``candidates`` list to :meth:`explain` for that.
-    graph:
-        Optional :class:`~repro.graph.model.MatchGraph` built from the
-        experiment under analysis.  When present,
-        :meth:`correct_duplicate_pairs` reads the matched pairs off the
-        graph's components instead of re-deriving them from the
-        experiment — same output, one source of pair structure.
     """
 
     def __init__(
@@ -84,11 +78,9 @@ class ErrorAnalysis:
         dataset: Dataset,
         similarity: RecordSimilarity | None = None,
         q: float = 2.0,
-        graph=None,
     ) -> None:
         self.dataset = dataset
         self.q = q
-        self.graph = graph
         if similarity is None:
             similarity = _default_record_similarity
         self.similarity = similarity
@@ -98,12 +90,7 @@ class ErrorAnalysis:
 
         The intersection of the experiment's matched pairs (transitive
         closure included) with the gold standard's duplicate pairs.
-        With a :attr:`graph` attached, the matched pairs come from its
-        component structure (``cluster_pairs()``) — equivalent by the
-        graph-identity invariant, covered by the equivalence tests.
         """
-        if self.graph is not None:
-            return self.graph.cluster_pairs() & gold.pairs()
         return experiment.pairs() & gold.pairs()
 
     def explain(

@@ -1,9 +1,10 @@
 """The persisted match-graph subsystem.
 
-Record nodes, weighted similarity edges with per-attribute evidence,
-and cluster memberships — persisted in indexed SQLite adjacency tables
-and queryable through k-hop traversal, path, component drill-down, and
-max-min-score evidence paths.  See README "Match graph".
+Record nodes and weighted similarity edges with per-attribute
+evidence, persisted in indexed SQLite adjacency tables; cluster
+memberships are derived in memory from the accepted edges.  Queryable
+through k-hop traversal, path, component drill-down, and max-min-score
+evidence paths.  See README "Match graph".
 """
 
 from repro.graph.build import (

@@ -8,11 +8,13 @@ Two producers feed a :class:`~repro.graph.model.MatchGraph`:
 * a live :class:`~repro.streaming.session.StreamingSession` — each
   ingested batch appends its delta through a :class:`GraphUpdater`.
 
-Both paths write the same rows through
-:meth:`~repro.storage.database.FrostStore.append_graph_batch`, and
-component labels are order-independent (min node id), so the
-incremental graph is row-identical to a from-scratch rebuild — the
-invariant the hypothesis suite pins down.
+Both paths write the same node and edge rows through
+:meth:`~repro.storage.database.FrostStore.append_graph_batch`.
+Components are not stored: the in-memory graph derives them from the
+accepted edges, live and on :func:`load_graph`, and their labels are
+order-independent (min node id), so the incremental graph equals a
+from-scratch rebuild in rows and memberships — the invariant the
+hypothesis suite pins down.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ class GraphUpdater:
             nodes=len(nodes),
             scored=len(scored),
         ):
-            component_rows: dict[int, int] = {}
             for node_id, native in nodes:
                 assigned = graph.add_node(native)
                 if assigned != node_id:
@@ -104,7 +105,6 @@ class GraphUpdater:
                         f"graph {graph.name!r} desynced: expected node "
                         f"{assigned}, producer sent {node_id}"
                     )
-                component_rows[node_id] = node_id
             edge_rows = []
             for index, scored_pair in enumerate(scored):
                 first = graph.node_of(scored_pair.first)
@@ -113,7 +113,7 @@ class GraphUpdater:
                 if vectors is not None:
                     breakdown = dict(sorted(vectors[index].values.items()))
                     row_breakdown = json.dumps(breakdown)
-                relabels = graph.add_edge(
+                graph.add_edge(
                     first, second, scored_pair.score, breakdown=breakdown
                 )
                 key = (first, second) if first < second else (second, first)
@@ -126,19 +126,8 @@ class GraphUpdater:
                         row_breakdown,
                     )
                 )
-                for node, label in relabels:
-                    component_rows[node] = label
-            # unions after a node's own row may have moved it again;
-            # stamp the final labels
-            for node in component_rows:
-                component_rows[node] = graph.label_of(node)
             try:
-                self._store.append_graph_batch(
-                    graph.name,
-                    nodes,
-                    edge_rows,
-                    sorted(component_rows.items()),
-                )
+                self._store.append_graph_batch(graph.name, nodes, edge_rows)
             except StorageError:
                 # the write failed atomically; discard the mutated twin
                 # so memory matches what the store actually holds
@@ -214,7 +203,10 @@ def build_graph_from_experiment(
 
 
 def load_graph(store: FrostStore, name: str) -> MatchGraph:
-    """Rehydrate a persisted graph into a queryable :class:`MatchGraph`."""
+    """Rehydrate a persisted graph into a queryable :class:`MatchGraph`.
+
+    Its components are derived from the stored accepted edges.
+    """
     with _tracing.span("graph.load", graph=name):
         document = store.load_graph(name)
         graph = MatchGraph(name, document["meta"]["threshold"])

@@ -9,11 +9,13 @@ clustering the pipeline produced, while below-threshold candidate
 edges remain queryable for exploration.
 
 Adjacency is organized per node (the design point graph stores make to
-keep k-hop traversal linear in edges touched, not in table size), and
-component labels are the *minimum node id* of each component.  That
-label choice is order-independent: merging components in any edge
-order yields the same labels, which is what makes incremental per-batch
-updates provably identical to a from-scratch rebuild.
+keep k-hop traversal and component drill-downs linear in edges touched,
+not in graph size), and component labels are the *minimum node id* of
+each component.  That label choice is order-independent: merging
+components in any edge order yields the same labels, which is what
+makes incremental per-batch updates provably identical to a
+from-scratch rebuild.  Components live in memory only; a graph loaded
+from the store derives them from its accepted edges.
 """
 
 from __future__ import annotations
@@ -90,10 +92,6 @@ class MatchGraph:
                 f"graph {self.name!r} has no record {native_id!r}"
             ) from None
 
-    def label_of(self, node: int) -> int:
-        """Component label (min member node id) of ``node``."""
-        return self._label[node]
-
     def add_node(self, native_id: str) -> int:
         """Append a record node; returns its dense node id."""
         if native_id in self._node_of:
@@ -114,13 +112,12 @@ class MatchGraph:
         second: int,
         score: float,
         breakdown: dict | None = None,
-    ) -> list[tuple[int, int]]:
+    ) -> None:
         """Add one scored edge between two existing nodes.
 
-        Returns the component relabels the edge caused as
-        ``(node, new_label)`` rows — empty unless the edge is accepted
-        and joins two distinct components.  Self-edges are rejected;
-        duplicate edges are a desync between producer and graph.
+        An accepted edge that joins two components merges them.
+        Self-edges are rejected; duplicate edges are a desync between
+        producer and graph.
         """
         if first == second:
             raise ValueError(
@@ -141,22 +138,20 @@ class MatchGraph:
         self._breakdowns[key] = breakdown
         self._adjacency[first].append((second, score, accepted))
         self._adjacency[second].append((first, score, accepted))
-        if not accepted:
-            return []
-        return self._union(first, second)
+        if accepted:
+            self._union(first, second)
 
-    def _union(self, first: int, second: int) -> list[tuple[int, int]]:
+    def _union(self, first: int, second: int) -> None:
         """Merge the components of two nodes; min label wins."""
         winner, loser = self._label[first], self._label[second]
         if winner == loser:
-            return []
+            return
         if winner > loser:
             winner, loser = loser, winner
         moved = self._members.pop(loser)
         for node in moved:
             self._label[node] = winner
         self._members[winner].extend(moved)
-        return [(node, winner) for node in moved]
 
     # -- traversal queries ----------------------------------------------------------
 
@@ -305,7 +300,11 @@ class MatchGraph:
         }
 
     def component_of(self, native_id: str) -> dict:
-        """Drill-down of the component containing one record."""
+        """Drill-down of the component containing one record.
+
+        The cost is local: the payload reads only the members'
+        adjacency lists.
+        """
         with self._query("component"):
             node = self.node_of(native_id)
             return self._component_payload(self._label[node])
@@ -329,11 +328,13 @@ class MatchGraph:
 
     def _component_payload(self, label: int) -> dict:
         members = sorted(self._members[label])
-        member_set = set(members)
+        # an accepted edge never leaves its component; count each one
+        # once, from its lower endpoint's adjacency list
         scores = [
             score
-            for (first, second), (score, accepted) in self._edges.items()
-            if accepted and first in member_set and second in member_set
+            for node in members
+            for neighbor, score, accepted in self._adjacency[node]
+            if accepted and node < neighbor
         ]
         size = len(members)
         possible = size * (size - 1) // 2

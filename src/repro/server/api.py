@@ -151,11 +151,8 @@ class FrostApi:
     serving:
         Optional pre-configured
         :class:`~repro.serving.service.ServingLayer`; created over
-        ``platform`` (with ``cache_entries`` payload slots) when
-        omitted.  All expensive GET evaluations route through it.
-    cache_entries:
-        LRU capacity of the serving-layer payload cache created when
-        ``serving`` is omitted.
+        ``platform`` (with its default capacity) when omitted.  All
+        expensive GET evaluations route through it.
     """
 
     def __init__(
@@ -164,7 +161,6 @@ class FrostApi:
         engine=None,
         store=None,
         serving: ServingLayer | None = None,
-        cache_entries: int = 1024,
     ) -> None:
         self.platform = platform
         self._engine = engine
@@ -173,9 +169,7 @@ class FrostApi:
         self._streams: dict[str, object] = {}
         self._streams_lock = threading.Lock()
         self.serving = (
-            serving
-            if serving is not None
-            else ServingLayer(platform, max_entries=cache_entries)
+            serving if serving is not None else ServingLayer(platform)
         )
         if store is not None:
             self.serving.attach_store(store)

@@ -34,8 +34,9 @@ __all__ = ["FrostStore", "StorageError", "SCHEMA_VERSION"]
 # written by a *newer* schema than this code knows are refused — the
 # tables may carry semantics this version would silently corrupt.
 #   1: seed .. PR 5 (datasets/experiments/golds/result_cache/streams)
-#   2: PR 7 match-graph adjacency tables (graphs/graph_nodes/
-#      graph_edges/graph_components)
+#   2: match-graph adjacency tables (graphs/graph_nodes/graph_edges;
+#      graph_components is no longer created, files that hold it keep
+#      it untouched and still open)
 #   3: disk-backed blocking tables (blocking_runs/blocking_keys/
 #      blocking_signatures), no longer created; files that hold them
 #      keep them untouched and still open
@@ -181,14 +182,6 @@ CREATE TABLE IF NOT EXISTS graph_edges (
 );
 CREATE INDEX IF NOT EXISTS idx_graph_edges_second
     ON graph_edges(graph_id, second_node);
-CREATE TABLE IF NOT EXISTS graph_components (
-    graph_id INTEGER NOT NULL REFERENCES graphs(graph_id),
-    node_id INTEGER NOT NULL,
-    component INTEGER NOT NULL,
-    PRIMARY KEY (graph_id, node_id)
-);
-CREATE INDEX IF NOT EXISTS idx_graph_components_component
-    ON graph_components(graph_id, component);
 """ + TELEMETRY_SCHEMA
 
 
@@ -874,18 +867,6 @@ class FrostStore:
             graph_id = cursor.lastrowid
         return graph_id
 
-    def delete_graph(self, name: str) -> None:
-        """Drop a graph and all its nodes, edges, and components."""
-        with self._lock, self._connection:
-            graph_id = self._graph_id(name)
-            for table in ("graph_components", "graph_edges", "graph_nodes"):
-                self._connection.execute(
-                    f"DELETE FROM {table} WHERE graph_id = ?", (graph_id,)
-                )
-            self._connection.execute(
-                "DELETE FROM graphs WHERE graph_id = ?", (graph_id,)
-            )
-
     def graph_names(self) -> list[str]:
         """Names of all stored graphs, sorted."""
         return [
@@ -928,17 +909,14 @@ class FrostStore:
         name: str,
         nodes: list[tuple[int, str]],
         edges: list[tuple[int, int, float, bool, str | None]],
-        components: list[tuple[int, int]],
     ) -> None:
-        """Persist one graph delta atomically: nodes, edges, relabels.
+        """Persist one graph delta atomically: nodes and edges.
 
-        ``nodes`` rows are ``(node_id, native_id)``, ``edges`` rows
+        ``nodes`` rows are ``(node_id, native_id)`` and ``edges`` rows
         ``(first_node, second_node, score, accepted, breakdown_json)``
-        with ``first_node < second_node``, and ``components`` rows
-        ``(node_id, component)`` — the membership assignments this
-        batch *changed* (new singletons and every node whose component
-        label moved), replacing any previous label.  Either the whole
-        delta lands or none of it.
+        with ``first_node < second_node``.  Component memberships are
+        not stored; readers derive them from the accepted edges.
+        Either the whole delta lands or none of it.
         """
         with self._lock, self._connection:
             graph_id = self._graph_id(name)
@@ -963,14 +941,6 @@ class FrostStore:
                     f"graph {name!r}: batch collides with stored state "
                     f"({collision})"
                 ) from None
-            self._connection.executemany(
-                "INSERT OR REPLACE INTO graph_components "
-                "(graph_id, node_id, component) VALUES (?, ?, ?)",
-                (
-                    (graph_id, node_id, component)
-                    for node_id, component in components
-                ),
-            )
             self._connection.execute(
                 "UPDATE graphs SET updated_at = ?, batch_count = batch_count "
                 "+ 1, node_count = node_count + ?, edge_count = edge_count "
@@ -982,11 +952,11 @@ class FrostStore:
         """Everything stored for graph ``name`` as one document.
 
         Returns ``meta`` (see :meth:`graph_meta`), ``nodes`` rows
-        ``(node_id, native_id)`` ordered by node id, ``edges`` rows
+        ``(node_id, native_id)`` ordered by node id and ``edges`` rows
         ``(first_node, second_node, score, accepted, breakdown_json)``
-        in canonical pair order, and ``components`` rows
-        ``(node_id, component)`` — all read from one snapshot of the
-        store.
+        in canonical pair order, all read from one snapshot of the
+        store.  Components are the reader's to derive from the accepted
+        edges (see :func:`repro.graph.build.load_graph`).
         """
         with self._snapshot() as connection:
             meta = self.graph_meta(name)
@@ -1008,19 +978,7 @@ class FrostStore:
                     (graph_id,),
                 )
             ]
-            components = list(
-                connection.execute(
-                    "SELECT node_id, component FROM graph_components "
-                    "WHERE graph_id = ? ORDER BY node_id",
-                    (graph_id,),
-                )
-            )
-        return {
-            "meta": meta,
-            "nodes": nodes,
-            "edges": edges,
-            "components": components,
-        }
+        return {"meta": meta, "nodes": nodes, "edges": edges}
 
     def stream_snapshot_lineage(self, name: str) -> list[dict]:
         """The snapshot lineage of stream ``name``, oldest first."""

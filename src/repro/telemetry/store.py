@@ -398,8 +398,11 @@ class TelemetryStore:
 
         The sort runs in SQLite over the ``(run_id, seconds DESC)``
         index — the warehouse may hold orders of magnitude more spans
-        than are worth materializing in Python.
+        than are worth materializing in Python.  A negative ``limit``
+        raises :class:`ValueError` (SQLite would read it as no limit).
         """
+        if limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
         query = (
             "SELECT s.run_id, r.name, s.span_id, s.name, s.seconds, "
             "s.annotations FROM telemetry_spans s "
@@ -534,14 +537,20 @@ class TelemetryStore:
 
         ``keep`` retains only the newest N runs; ``older_than_seconds``
         drops runs recorded more than that long ago.  Either alone or
-        both together; returns the number of runs deleted.
+        both together; returns the number of runs deleted.  A negative
+        value of either raises :class:`ValueError` and deletes nothing.
         """
         if keep is None and older_than_seconds is None:
             raise ValueError("prune needs keep and/or older_than_seconds")
+        if keep is not None and keep < 0:
+            raise ValueError(f"keep must be non-negative, got {keep}")
+        if older_than_seconds is not None and older_than_seconds < 0:
+            raise ValueError(
+                "older_than_seconds must be non-negative, got "
+                f"{older_than_seconds}"
+            )
         doomed: set[int] = set()
         if keep is not None:
-            if keep < 0:
-                raise ValueError(f"keep must be non-negative, got {keep}")
             doomed.update(
                 run_id
                 for (run_id,) in self._connection.execute(

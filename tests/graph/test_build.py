@@ -1,9 +1,10 @@
 """Graph persistence: builds, incremental updates, schema migration.
 
 The acceptance invariant lives here: streaming incremental graph
-updates must produce a graph row-identical (nodes, edges, component
-memberships) to a from-scratch rebuild after EVERY batch, hypothesis-
-tested over randomized batch splits.
+updates must produce a graph identical to a from-scratch rebuild after
+EVERY batch — the same stored node and edge rows, and the same
+component memberships in the live graph and in one loaded from the
+store — hypothesis-tested over randomized batch splits.
 """
 
 from __future__ import annotations
@@ -54,20 +55,30 @@ def records() -> list[Record]:
     return [person(row) for row in PEOPLE]
 
 
-def stored_rows(store: FrostStore, name: str) -> tuple:
+def graph_rows(store: FrostStore, name: str, live) -> tuple:
+    """Stored node and edge rows plus component memberships.
+
+    The memberships of the live graph ``live`` must equal those of the
+    graph loaded from the store.
+    """
     document = store.load_graph(name)
-    return (document["nodes"], document["edges"], document["components"])
+    memberships = load_graph(store, name).component_nodes()
+    assert live.component_nodes() == memberships
+    return (document["nodes"], document["edges"], memberships)
 
 
-def rebuild_rows(store: FrostStore, prefix: list[Record]) -> tuple:
-    """From-scratch batch-pipeline graph over ``prefix``, as store rows."""
+def session_rows(session) -> tuple:
+    return graph_rows(session._store, session.name, session._graph.graph)
+
+
+def rebuild_rows(prefix: list[Record]) -> tuple:
+    """From-scratch batch-pipeline graph over ``prefix``, as
+    :func:`graph_rows`."""
     pipeline, _ = build_pipeline_and_index(CONFIG)
     run = pipeline.run(Dataset(prefix, name="rebuild"))
-    build_graph_from_run(store, "rebuild", run)
-    try:
-        return stored_rows(store, "rebuild")
-    finally:
-        store.delete_graph("rebuild")
+    store = FrostStore(":memory:")
+    live = build_graph_from_run(store, "rebuild", run)
+    return graph_rows(store, "rebuild", live)
 
 
 class TestIncrementalEqualsRebuild:
@@ -78,7 +89,7 @@ class TestIncrementalEqualsRebuild:
         session.ingest(everyone[:4])
         session.ingest(everyone[4:7])
         session.ingest(everyone[7:])
-        assert stored_rows(store, "s") == rebuild_rows(store, everyone)
+        assert session_rows(session) == rebuild_rows(everyone)
 
     @given(sizes=st.lists(st.integers(min_value=1, max_value=4), max_size=8))
     @settings(max_examples=25, deadline=None)
@@ -101,7 +112,7 @@ class TestIncrementalEqualsRebuild:
         for batch in batches:
             session.ingest(batch)
             ingested.extend(batch)
-            assert stored_rows(store, "s") == rebuild_rows(store, ingested)
+            assert session_rows(session) == rebuild_rows(ingested)
 
 
 class TestGraphUpdater:
@@ -135,7 +146,7 @@ class TestGraphUpdater:
         updater.apply_batch([(0, "a"), (1, "b")], [])
         # sabotage the next persisted batch: pre-insert its node row so
         # the primary key collides inside append_graph_batch
-        store.append_graph_batch("g", [(2, "squatter")], [], [(2, 2)])
+        store.append_graph_batch("g", [(2, "squatter")], [])
         with pytest.raises(StorageError, match="collides"):
             updater.apply_batch([(2, "c")], [])
         # the in-memory twin was reloaded from the store — no phantom
@@ -151,15 +162,13 @@ class TestGraphUpdater:
         with pytest.raises(StreamError, match="rebuild the graph"):
             session.attach_graph(GraphUpdater.attach(store, "other"))
 
-    def test_store_listing_and_delete(self):
+    def test_store_listing(self):
         store = FrostStore(":memory:")
         GraphUpdater.create(store, "b", 0.5)
         GraphUpdater.create(store, "a", 0.5)
         assert store.graph_names() == ["a", "b"]
-        store.delete_graph("a")
-        assert store.graph_names() == ["b"]
         with pytest.raises(StorageError, match="no graph named"):
-            store.graph_meta("a")
+            store.graph_meta("c")
 
 
 class TestBuilders:
@@ -214,9 +223,7 @@ class TestSchemaMigration:
             store.save_experiment("people", run.experiment)
         connection = sqlite3.connect(path)
         with connection:
-            for table in (
-                "graph_components", "graph_edges", "graph_nodes", "graphs"
-            ):
+            for table in ("graph_edges", "graph_nodes", "graphs"):
                 connection.execute(f"DROP TABLE {table}")
             connection.execute("PRAGMA user_version = 1")
         connection.close()

@@ -1,8 +1,10 @@
-"""MatchGraph traversal semantics, edge cases, and the evidence oracle.
+"""MatchGraph traversal semantics, edge cases, and the brute-force oracles.
 
 The evidence-path query must return a connected path whose minimum
 edge score is maximal — verified here against a brute-force oracle
-that enumerates every simple path on small randomized graphs.
+that enumerates every simple path on small randomized graphs.  The
+component drill-down and listing payloads are checked the same way,
+against a BFS over the raw edge rows.
 """
 
 from __future__ import annotations
@@ -239,6 +241,85 @@ class TestComponents:
         with pytest.raises(GraphQueryError):
             graph.components(limit=-2)
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_payloads_match_brute_force_oracle(self, data):
+        """``component_of`` for every record, ``components()`` and
+        ``components(limit)`` equal a BFS over the raw edge rows, with
+        rejected edges inside and across components."""
+        n = data.draw(st.integers(min_value=1, max_value=9), label="nodes")
+        all_pairs = list(itertools.combinations(range(n), 2))
+        chosen = data.draw(
+            st.lists(st.sampled_from(all_pairs), unique=True)
+            if all_pairs else st.just([]),
+            label="edges",
+        )
+        rows = [
+            (first, second, data.draw(
+                st.sampled_from([0.1, 0.3, 0.49, 0.5, 0.7, 0.9, 1.0]),
+                label="score",
+            ))
+            for first, second in chosen
+        ]
+        graph = graph_of(
+            [(f"r{a}", f"r{b}", score) for a, b, score in rows],
+            nodes=[f"r{i}" for i in range(n)],
+        )
+        expected = oracle_components(n, rows, threshold=0.5)
+        for node in range(n):
+            label = next(
+                label for label in expected if node in expected[label]["nodes"]
+            )
+            assert graph.component_of(f"r{node}") == expected[label]["payload"]
+        listing = [
+            expected[label]["payload"]
+            for label in sorted(
+                expected, key=lambda label: (-len(expected[label]["nodes"]), label)
+            )
+        ]
+        assert graph.components() == listing
+        limit = data.draw(st.integers(min_value=0, max_value=n + 1), label="limit")
+        assert graph.components(limit=limit) == listing[:limit]
+
+
+def oracle_components(n: int, rows, threshold: float) -> dict:
+    """``{label: {"nodes", "payload"}}`` by BFS over accepted edge rows."""
+    adjacency = {node: set() for node in range(n)}
+    for first, second, score in rows:
+        if score >= threshold:
+            adjacency[first].add(second)
+            adjacency[second].add(first)
+    seen: set[int] = set()
+    components = {}
+    for start in range(n):
+        if start in seen:
+            continue
+        reached, queue = {start}, [start]
+        while queue:
+            for neighbor in adjacency[queue.pop(0)] - reached:
+                reached.add(neighbor)
+                queue.append(neighbor)
+        seen |= reached
+        scores = [
+            score for first, second, score in rows
+            if score >= threshold and first in reached and second in reached
+        ]
+        size = len(reached)
+        possible = size * (size - 1) // 2
+        components[start] = {
+            "nodes": reached,
+            "payload": {
+                "component": start,
+                "size": size,
+                "records": [f"r{node}" for node in sorted(reached)],
+                "edge_count": len(scores),
+                "density": len(scores) / possible if possible else 0.0,
+                "min_score": min(scores, default=None),
+                "max_score": max(scores, default=None),
+            },
+        }
+    return components
+
 
 def oracle_bottleneck(graph: MatchGraph, source: str, target: str):
     """Max over all simple paths of the minimum edge score (brute force)."""
@@ -375,7 +456,7 @@ class TestClusterViews:
 
     def test_labels_are_min_member_ids(self):
         graph = graph_of([("b", "c", 0.9), ("a", "c", 0.9)], nodes=["a", "b", "c"])
-        assert graph.label_of(graph.node_of("b")) == 0
+        assert graph.component_of("b")["component"] == 0
         assert graph.component_nodes() == {0: [0, 1, 2]}
 
 

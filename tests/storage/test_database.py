@@ -165,6 +165,20 @@ CREATE TABLE IF NOT EXISTS blocking_signatures (
 """
 _BLOCKING_TABLES = ("blocking_runs", "blocking_keys", "blocking_signatures")
 
+# The graph component table that store files of schema versions 2 to 4
+# were created with, verbatim.  The store no longer creates it either;
+# components are derived from the accepted edges on load.
+_RETIRED_COMPONENT_SCHEMA = """
+CREATE TABLE IF NOT EXISTS graph_components (
+    graph_id INTEGER NOT NULL REFERENCES graphs(graph_id),
+    node_id INTEGER NOT NULL,
+    component INTEGER NOT NULL,
+    PRIMARY KEY (graph_id, node_id)
+);
+CREATE INDEX IF NOT EXISTS idx_graph_components_component
+    ON graph_components(graph_id, component);
+"""
+
 
 def _table_names(path) -> set[str]:
     import sqlite3
@@ -180,7 +194,7 @@ def _table_names(path) -> set[str]:
         connection.close()
 
 
-def _blocking_rows(path) -> dict[str, list[tuple]]:
+def _table_rows(path, tables) -> dict[str, list[tuple]]:
     import sqlite3
 
     connection = sqlite3.connect(path)
@@ -189,7 +203,7 @@ def _blocking_rows(path) -> dict[str, list[tuple]]:
             table: connection.execute(
                 f"SELECT * FROM {table} ORDER BY rowid"
             ).fetchall()
-            for table in _BLOCKING_TABLES
+            for table in tables
         }
     finally:
         connection.close()
@@ -261,7 +275,7 @@ class TestBlockingSchemaMigration:
                 (bytes(range(16)),),
             )
         connection.close()
-        before = _blocking_rows(path)
+        before = _table_rows(path, _BLOCKING_TABLES)
         assert [len(rows) for rows in before.values()] == [1, 3, 1]
 
         with FrostStore(path) as store:
@@ -272,7 +286,71 @@ class TestBlockingSchemaMigration:
             serving = ServingLayer(FrostPlatform())
             serving.attach_store(store)
             assert serving.graph_summary_payload("s")["node_count"] == 6
-        assert _blocking_rows(path) == before
+        assert _table_rows(path, _BLOCKING_TABLES) == before
+
+
+class TestGraphComponentsSchemaMigration:
+    def test_fresh_store_has_no_component_table(self, tmp_path):
+        from repro.streaming import build_session
+
+        from tests.graph.test_build import CONFIG, records
+
+        path = str(tmp_path / "fresh.db")
+        with FrostStore(path) as store:
+            build_session(CONFIG, store=store, name="s").ingest(records())
+        tables = _table_names(path)
+        assert {"graphs", "graph_nodes", "graph_edges"} <= tables
+        assert "graph_components" not in tables
+
+    def test_store_with_component_rows_opens_resumes_and_serves(
+        self, tmp_path
+    ):
+        import sqlite3
+
+        from repro.core.platform import FrostPlatform
+        from repro.serving.service import ServingLayer
+        from repro.storage.database import SCHEMA_VERSION
+        from repro.streaming import StreamingMatcher, build_session
+
+        from tests.graph.test_build import CONFIG, records
+
+        path = str(tmp_path / "components.db")
+        everyone = records()
+        with FrostStore(path) as store:
+            session = build_session(CONFIG, store=store, name="s")
+            session.ingest(everyone[:4])
+            memberships = session._graph.graph.component_nodes()
+        # what a store that still kept components holds on disk
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.executescript(_RETIRED_COMPONENT_SCHEMA)
+            (graph_id,) = connection.execute(
+                "SELECT graph_id FROM graphs WHERE name = 's'"
+            ).fetchone()
+            connection.executemany(
+                "INSERT INTO graph_components VALUES (?, ?, ?)",
+                [
+                    (graph_id, node, label)
+                    for label, members in memberships.items()
+                    for node in members
+                ],
+            )
+        connection.close()
+        before = _table_rows(path, ["graph_components"])
+        assert len(before["graph_components"]) == 4
+
+        with FrostStore(path) as store:
+            assert store.schema_version == SCHEMA_VERSION == 4
+            session = StreamingMatcher.resume(store, "s")
+            assert (session.version, session.record_count) == (1, 4)
+            assert session.ingest(everyone[4:6]).version == 2
+            serving = ServingLayer(FrostPlatform())
+            serving.attach_store(store)
+            served = serving.graph_component_payload("s", "p03")
+            assert served == session._graph.graph.component_of("p03")
+            assert served["records"] == ["p03", "p04"]
+            assert serving.graph_summary_payload("s")["node_count"] == 6
+        assert _table_rows(path, ["graph_components"]) == before
 
 
 class TestTelemetrySchemaMigration:

@@ -44,7 +44,7 @@ def _snapshot(version: int, records: int, pairs: int) -> dict:
 def _graph_case(store: FrostStore):
     store.create_graph("g", 0.5)
     store.append_graph_batch(
-        "g", [(0, "a"), (1, "b")], [(0, 1, 0.9, True, None)], [(0, 0), (1, 0)]
+        "g", [(0, "a"), (1, "b")], [(0, 1, 0.9, True, None)]
     )
 
     def write() -> None:
@@ -52,7 +52,6 @@ def _graph_case(store: FrostStore):
             "g",
             [(2, "c"), (3, "d")],
             [(0, 2, 0.9, True, None), (2, 3, 0.8, True, None)],
-            [(2, 0), (3, 0)],
         )
 
     def landed(document) -> bool:

@@ -119,6 +119,13 @@ class TestQueries:
         assert rows[0]["run_id"] == run_b
         assert rows[0]["name"] == "quick"
 
+    def test_negative_limit_is_refused(self, warehouse):
+        # SQLite reads LIMIT -1 as no limit at all
+        warehouse.record_run("smoke", traced_roots({"a": 0.1, "b": 0.2}))
+        with pytest.raises(ValueError, match="limit must be non-negative"):
+            warehouse.slowest_spans(limit=-1)
+        assert warehouse.slowest_spans(limit=0) == []
+
     def test_stage_history_across_runs(self, warehouse):
         warehouse.record_run("day1", traced_roots({"stage.sim": 1.0}))
         warehouse.record_run("day2", traced_roots({"stage.sim": 2.0}))
@@ -172,8 +179,22 @@ class TestRetention:
         warehouse.record_run("old", traced_roots({}))
         # everything was recorded "now", so a large cutoff keeps all
         assert warehouse.prune(older_than_seconds=3600) == 0
-        assert warehouse.prune(older_than_seconds=-1) == 1
+        with warehouse._connection:
+            warehouse._connection.execute(
+                "UPDATE telemetry_runs SET recorded_at = recorded_at - 7200"
+            )
+        assert warehouse.prune(older_than_seconds=3600) == 1
         assert warehouse.list_runs() == []
+
+    def test_negative_age_is_refused_and_deletes_nothing(self, warehouse):
+        warehouse.record_run("kept", traced_roots({"s": 0.1}))
+        for policy in ({"older_than_seconds": -1},
+                       {"keep": 5, "older_than_seconds": -0.5}):
+            with pytest.raises(
+                ValueError, match="older_than_seconds must be non-negative"
+            ):
+                warehouse.prune(**policy)
+        assert [run["name"] for run in warehouse.list_runs()] == ["kept"]
 
     def test_max_runs_retention_on_record(self, tmp_path):
         with TelemetryStore(tmp_path / "t.db", max_runs=2) as store:

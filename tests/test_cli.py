@@ -499,6 +499,15 @@ class TestTelemetryWarehouse:
         assert code == 0
         assert all("(candidate)" in line for line in out.strip().splitlines())
 
+    def test_negative_limit_fails_cleanly(self, warehouse_db, capsys):
+        code, out, err = run(
+            capsys, "telemetry", "slowest", "--store", warehouse_db,
+            "--limit", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: limit must be non-negative" in err
+
     def test_diff_reports_per_stage_deltas(self, warehouse_db, capsys):
         code, out, _ = run(
             capsys, "telemetry", "diff", "--store", warehouse_db,
@@ -528,6 +537,18 @@ class TestTelemetryWarehouse:
         assert code == 0
         assert "candidate" in out
         assert "baseline" not in out
+
+    def test_prune_refuses_a_negative_age(self, warehouse_db, capsys):
+        code, out, err = run(
+            capsys, "telemetry", "prune", "--store", warehouse_db,
+            "--older-than", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: older_than_seconds must be non-negative" in err
+        code, out, _ = run(capsys, "telemetry", "list", "--store", warehouse_db)
+        assert code == 0
+        assert "baseline" in out and "candidate" in out
 
     def test_prune_requires_a_policy(self, warehouse_db, capsys):
         code, _, err = run(
