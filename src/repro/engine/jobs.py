@@ -1,8 +1,8 @@
 """Declarative job specifications for the experiment execution engine.
 
 A :class:`JobSpec` names *what* to compute — a metrics table, a
-metric/metric diagram, a matching-pipeline run, a stream ingest —
-without running anything.  Specs are plain data:
+metric/metric diagram, a matching-pipeline run — without running
+anything.  Specs are plain data:
 they can be built from CLI flags, from JSON request bodies
 (``POST /jobs``), or programmatically, and are executed by
 :class:`repro.engine.runner.ExperimentEngine`.
@@ -59,8 +59,8 @@ class JobSpec:
     Attributes
     ----------
     kind:
-        Handler name: ``"metrics"``, ``"diagram"``, ``"pipeline"``,
-        ``"stream_ingest"``, or a custom kind registered on the engine.
+        Handler name: ``"metrics"``, ``"diagram"``, ``"pipeline"``, or
+        a custom kind registered on the engine.
     params:
         Handler parameters.  Datasets, golds, and experiments are
         referenced by their platform names (strings); pipeline jobs may
@@ -70,18 +70,13 @@ class JobSpec:
         Unique id within one engine; auto-assigned at submit time when
         empty.
     depends_on:
-        Ids of jobs that must succeed first.  Dependency *values* are
-        passed to the handler in this order.
-    cacheable:
-        Whether the result may be served from / stored into the
-        content-addressed cache.
+        Ids of jobs that must succeed first.
     """
 
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
     job_id: str = ""
     depends_on: tuple[str, ...] = ()
-    cacheable: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
@@ -95,7 +90,6 @@ class JobSpec:
             params=merged,
             job_id=self.job_id,
             depends_on=self.depends_on,
-            cacheable=self.cacheable,
         )
 
 
@@ -155,7 +149,6 @@ def expand_sweep(
                 params=spec.params,
                 job_id=f"{base.job_id}@{value}" if base.job_id else "",
                 depends_on=base.depends_on,
-                cacheable=base.cacheable,
             )
         )
     return specs

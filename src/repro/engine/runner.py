@@ -4,18 +4,17 @@
 objects on a ``concurrent.futures`` thread pool:
 
 * **dependency ordering** — a job runs only after all jobs in its
-  ``depends_on`` have succeeded; dependency values are handed to the
-  handler in declaration order;
+  ``depends_on`` have succeeded;
 * **failure isolation** — an exception fails only its own job;
   transitive dependents are marked ``skipped``, unrelated jobs keep
   running;
 * **progress tracking / cancellation** — :meth:`status`,
   :meth:`progress`, and :meth:`cancel` observe and prune the queue
   while it drains;
-* **content-addressed caching** — cacheable jobs consult a
-  :class:`~repro.engine.cache.ResultCache` keyed by dataset + config +
-  gold content before computing, so identical re-runs (the exploration
-  hot path) cost a hash lookup instead of a recomputation;
+* **content-addressed caching** — jobs of a kind with a cache token
+  consult a :class:`~repro.engine.cache.ResultCache` keyed by dataset +
+  config + gold content before computing, so identical re-runs (the
+  exploration hot path) cost a hash lookup instead of a recomputation;
 * **timing** — each job runs in an ``engine.job`` span, nested under the
   span that submitted it, and :attr:`JobResult.seconds` is that span's
   seconds.  The handler's computation runs in a child span named after
@@ -45,14 +44,6 @@ Built-in job kinds:
     token, so a job still sending a retired execution param
     (``workers``, ``shards``, ``blocking_storage``) shares the plain
     job's cache entry.
-``stream_ingest``
-    Fold one record batch into a live
-    :class:`~repro.streaming.StreamingMatcher`.  Params: ``session``,
-    ``records`` (a sequence of :class:`Record` objects or JSON rows
-    with an ``"id"`` key).  Returns the new snapshot summary.  Never
-    cached — an ingest mutates session state, so serving it from cache
-    would silently drop the batch; chain batches with ``depends_on``
-    when their ingest order matters.
 """
 
 from __future__ import annotations
@@ -115,7 +106,7 @@ class EngineError(RuntimeError):
 class JobHandler:
     """How the engine executes one job kind.
 
-    ``compute(params, inputs)`` produces the job value; ``token``
+    ``compute(params)`` produces the job value; ``token``
     (optional) maps params to a content token for cache-key hashing —
     handlers without one are never cached; ``encode`` (optional) turns
     a computed value into the JSON payload that is cached and reported
@@ -125,7 +116,7 @@ class JobHandler:
     payload when ``cached`` is true.
     """
 
-    compute: Callable[[Mapping[str, object], Sequence[object]], object]
+    compute: Callable[[Mapping[str, object]], object]
     token: Callable[[Mapping[str, object]], object] | None = None
     after: Callable[[Mapping[str, object], object, bool], None] | None = None
     encode: Callable[[object], object] | None = None
@@ -243,8 +234,6 @@ class ExperimentEngine:
                 after=self._register_pipeline_result,
                 encode=_pipeline_payload,
             ),
-            # no token: stateful, must never be served from cache
-            "stream_ingest": JobHandler(compute=self._compute_stream_ingest),
         }
 
     # -- registration -------------------------------------------------------------
@@ -281,7 +270,6 @@ class ExperimentEngine:
                     params=spec.params,
                     job_id=job_id,
                     depends_on=spec.depends_on,
-                    cacheable=spec.cacheable,
                 )
             entry = _Entry(spec)
             self._entries[job_id] = entry
@@ -292,7 +280,8 @@ class ExperimentEngine:
         """Drop the oldest terminal job records beyond ``max_history``.
 
         Called with the lock held.  Records that a non-terminal job
-        depends on stay, so dependency values remain resolvable.
+        depends on stay, so :meth:`_claim_ready` can still read their
+        states.
         """
         excess = len(self._entries) - self.max_history
         if excess <= 0:
@@ -541,9 +530,6 @@ class ExperimentEngine:
             if entry.result.state is not JobState.PENDING:
                 return  # cancelled while queued behind busy workers
             entry.result.state = JobState.RUNNING
-            inputs = [
-                self._entries[dep].result.value for dep in spec.depends_on
-            ]
         tracer = get_tracer()
         try:
             # Activate the context captured at submit time so the job's
@@ -553,7 +539,7 @@ class ExperimentEngine:
                 "engine.job", job=spec.job_id, kind=spec.kind
             ) as job_span:
                 value = MISS
-                if spec.cacheable and handler.token is not None:
+                if handler.token is not None:
                     with tracer.span("engine.cache_key"):
                         entry.result.cache_key = job_cache_key(
                             spec.kind, handler.token(spec.params)
@@ -564,7 +550,7 @@ class ExperimentEngine:
                     computed = value
                 else:
                     with tracer.span(f"engine.{spec.kind}"):
-                        computed = handler.compute(spec.params, inputs)
+                        computed = handler.compute(spec.params)
                     value = computed
                     if handler.encode is not None:
                         with tracer.span("engine.encode"):
@@ -615,7 +601,7 @@ class ExperimentEngine:
         }
 
     def _compute_metrics(
-        self, params: Mapping[str, object], inputs: Sequence[object]
+        self, params: Mapping[str, object]
     ) -> dict[str, object]:
         from repro.metrics.registry import default_registry
 
@@ -663,7 +649,7 @@ class ExperimentEngine:
         }
 
     def _compute_diagram(
-        self, params: Mapping[str, object], inputs: Sequence[object]
+        self, params: Mapping[str, object]
     ) -> dict[str, object]:
         samples = int(params.get("samples", 100))
         points = self.platform.diagram(
@@ -703,9 +689,7 @@ class ExperimentEngine:
 
         return pipeline.with_blocker(candidate_generator_from_key(blocker))
 
-    def _compute_pipeline(
-        self, params: Mapping[str, object], inputs: Sequence[object]
-    ) -> PipelineRun:
+    def _compute_pipeline(self, params: Mapping[str, object]) -> PipelineRun:
         pipeline = self._selected_pipeline(params)
         return pipeline.run(self.platform.dataset(params["dataset"]))
 
@@ -730,13 +714,3 @@ class ExperimentEngine:
         if experiment.name in self.platform.experiment_names(dataset_name):
             return  # idempotent re-runs: first registration wins
         self.platform.add_experiment(dataset_name, experiment)
-
-    def _compute_stream_ingest(
-        self, params: Mapping[str, object], inputs: Sequence[object]
-    ) -> dict[str, object]:
-        from repro.streaming.session import coerce_records
-
-        session = params["session"]
-        records = coerce_records(params["records"])
-        snapshot = session.ingest(records)
-        return {"stream": session.name, **snapshot.as_dict()}

@@ -85,14 +85,6 @@ class ErrorAnalysis:
             similarity = _default_record_similarity
         self.similarity = similarity
 
-    def correct_duplicate_pairs(self, experiment, gold) -> set[Pair]:
-        """True-positive pairs — the usual ``correct_pairs`` candidates.
-
-        The intersection of the experiment's matched pairs (transitive
-        closure included) with the gold standard's duplicate pairs.
-        """
-        return experiment.pairs() & gold.pairs()
-
     def explain(
         self,
         failed_pair: Pair,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.experiment import Experiment, GoldStandard
 from repro.core.pairs import Pair
 from repro.core.records import Dataset, Record
+from repro.matching.similarity import levenshtein_distance
 
 __all__ = [
     "ValueRelation",
@@ -50,25 +51,11 @@ def _normalized(value: str) -> str:
     return " ".join(value.lower().split())
 
 
-def _levenshtein(first: str, second: str, limit: int) -> int:
-    """Edit distance, early-exiting once it must exceed ``limit``."""
-    if abs(len(first) - len(second)) > limit:
-        return limit + 1
-    previous = list(range(len(second) + 1))
-    for i, char_a in enumerate(first, start=1):
-        current = [i]
-        row_minimum = i
-        for j, char_b in enumerate(second, start=1):
-            cost = 0 if char_a == char_b else 1
-            value = min(
-                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost
-            )
-            current.append(value)
-            row_minimum = min(row_minimum, value)
-        if row_minimum > limit:
-            return limit + 1
-        previous = current
-    return previous[-1]
+def _check_typo_threshold(typo_threshold: int) -> None:
+    if typo_threshold < 0:
+        raise ValueError(
+            f"typo_threshold must be non-negative, got {typo_threshold}"
+        )
 
 
 def _abbreviates(first: str, second: str) -> bool:
@@ -101,8 +88,9 @@ def classify_value_pair(
 
     ``typo_threshold`` is the maximum edit distance (after
     normalization) still considered a typo rather than a conflicting
-    value.
+    value; a negative one raises ``ValueError``.
     """
+    _check_typo_threshold(typo_threshold)
     if first is None and second is None:
         return ValueRelation.BOTH_NULL
     if first is None or second is None:
@@ -116,7 +104,10 @@ def classify_value_pair(
         return ValueRelation.WORD_ORDER
     if _token_abbreviation_match(normalized_a, normalized_b):
         return ValueRelation.ABBREVIATION
-    if _levenshtein(normalized_a, normalized_b, typo_threshold) <= typo_threshold:
+    distance = levenshtein_distance(
+        normalized_a, normalized_b, bound=typo_threshold
+    )
+    if distance <= typo_threshold:
         return ValueRelation.TYPO
     return ValueRelation.DIFFERENT
 
@@ -229,10 +220,11 @@ def categorize_errors(
     ``limit`` caps the number of false negatives and false positives
     each that are categorized (both picked deterministically in sorted
     pair order) — useful on large, low-precision experiments.  A
-    negative ``limit`` raises ``ValueError``.
+    negative ``limit`` or ``typo_threshold`` raises ``ValueError``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
+    _check_typo_threshold(typo_threshold)
     names = tuple(attributes) if attributes is not None else dataset.attributes
     experiment_pairs = experiment.pairs()
     gold_pairs = gold.pairs()

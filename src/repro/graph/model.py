@@ -60,6 +60,7 @@ class MatchGraph:
         self._adjacency: list[list[tuple[int, float, bool]]] = []
         # canonical (min, max) node pair -> (score, accepted)
         self._edges: dict[tuple[int, int], tuple[float, bool]] = {}
+        self._accepted_edges = 0
         # canonical pair -> per-attribute similarity evidence (or None)
         self._breakdowns: dict[tuple[int, int], dict | None] = {}
         # components over accepted edges, labelled by min member id
@@ -78,7 +79,7 @@ class MatchGraph:
 
     @property
     def accepted_edge_count(self) -> int:
-        return sum(1 for _, accepted in self._edges.values() if accepted)
+        return self._accepted_edges
 
     def record_ids(self) -> list[str]:
         """Native record ids in node order."""
@@ -139,6 +140,7 @@ class MatchGraph:
         self._adjacency[first].append((second, score, accepted))
         self._adjacency[second].append((first, score, accepted))
         if accepted:
+            self._accepted_edges += 1
             self._union(first, second)
 
     def _union(self, first: int, second: int) -> None:
@@ -438,13 +440,6 @@ class MatchGraph:
         """``{component label: sorted member node ids}``."""
         return {
             label: sorted(members) for label, members in self._members.items()
-        }
-
-    def component_members(self) -> dict[int, list[str]]:
-        """``{component label: sorted member record ids}``."""
-        return {
-            label: sorted(self._native[node] for node in members)
-            for label, members in self._members.items()
         }
 
     def summary(self) -> dict:

@@ -45,9 +45,13 @@ The ``/jobs`` routes are served by the execution engine
 (:mod:`repro.engine`): submitted jobs run on a worker pool and identical
 re-submissions are answered from the content-addressed result cache.
 The ``/streams`` routes front the incremental streaming subsystem
-(:mod:`repro.streaming`): each batch POST runs as a ``stream_ingest``
-engine job and returns the new versioned clustering snapshot; the
-stream's JSON config is described in :mod:`repro.streaming.config`.
+(:mod:`repro.streaming`): each batch POST is ingested in the request
+and returns the new versioned clustering snapshot; it creates no
+engine job, and a ``"job_id"`` in its body is ignored.  A batch the
+session or the store refuses (a record ingested before, an id twice
+in the batch, a collision with stored state) is a 400 carrying the
+error as ``"Type: message"``; the stream's JSON config is described
+in :mod:`repro.streaming.config`.
 Its ``"key"`` may select approximate MinHash-LSH blocking
 (``{"kind": "lsh", "num_perm": 128, "bands": 32}``, see
 :mod:`repro.matching.lsh`);
@@ -115,20 +119,22 @@ class ApiError(Exception):
         self.retry_after = retry_after
 
 
-def _store_unavailable(error: str) -> ApiError | None:
-    """The 503 answering a ``"Type: message"`` error, if it is one.
+def _store_unavailable(error: Exception) -> ApiError | None:
+    """The 503 answering ``error``, if it says the store is unavailable.
 
     An unavailable store was closed, had its write lock held by another
-    connection past the busy timeout, or is full.
+    connection past the busy timeout, or is full.  The 503 carries the
+    error as ``"Type: message"``.
     """
+    message = f"{type(error).__name__}: {error}"
     if not re.match(
         r"StorageError: store .* is closed$"
         r"|OperationalError: database is locked"
         r"|OperationalError: database or disk is full",
-        error,
+        message,
     ):
         return None
-    return ApiError(503, error, retry_after=RETRY_AFTER_SECONDS)
+    return ApiError(503, message, retry_after=RETRY_AFTER_SECONDS)
 
 
 class FrostApi:
@@ -199,9 +205,10 @@ class FrostApi:
         """Dispatch a request path to the matching evaluation.
 
         ``method`` and ``body`` (a parsed JSON document) matter only
-        for the ``POST /jobs`` route; everything else is GET.  Raises
-        :class:`ApiError` with status 404 for unknown routes or names,
-        400 for bad parameters and 503 when the store is unavailable.
+        for the ``POST /jobs`` and ``/streams`` routes; everything else
+        is GET.  Raises :class:`ApiError` with status 404 for unknown
+        routes or names, 400 for bad parameters and 503 when the store
+        is unavailable.
         """
         query = dict(query or {})
         parts = [part for part in path.split("/") if part]
@@ -212,7 +219,7 @@ class FrostApi:
         except ValueError as bad:
             raise ApiError(400, str(bad)) from None
         except (StorageError, sqlite3.OperationalError) as error:
-            unavailable = _store_unavailable(f"{type(error).__name__}: {error}")
+            unavailable = _store_unavailable(error)
             if unavailable is None:
                 raise
             raise unavailable from None
@@ -577,7 +584,7 @@ class FrostApi:
         if method == "POST" and not rest:
             return self._create_stream(body)
         if method == "POST" and len(rest) == 2 and rest[1] == "batches":
-            return self._ingest_batch(rest[0], query, body)
+            return self._ingest_batch(rest[0], body)
         if method == "GET" and not rest:
             with self._streams_lock:
                 names = set(self._streams)
@@ -607,13 +614,8 @@ class FrostApi:
             self._streams[name] = session
         return session.status()
 
-    def _ingest_batch(
-        self, name: str, query: dict[str, str], body: object
-    ) -> dict:
-        from repro.engine.jobs import JobSpec
-        from repro.engine.runner import EngineError
-
-        from repro.streaming import coerce_records
+    def _ingest_batch(self, name: str, body: object) -> dict:
+        from repro.streaming import StreamError, coerce_records
 
         session = self._stream(name)
         if not isinstance(body, Mapping) or not isinstance(
@@ -623,34 +625,17 @@ class FrostApi:
                 "POST /streams/{id}/batches needs a JSON body with a "
                 "'records' list"
             )
-        # validate the rows before they enter the worker pool, so a
-        # malformed request is a 400 here instead of a failed job
         records = coerce_records(body["records"])
-        spec = JobSpec(
-            "stream_ingest",
-            {"session": session, "records": records},
-            job_id=str(body.get("job_id", "") or ""),
-            cacheable=False,
-        )
         try:
-            job_id = self.engine.submit(spec)
-        except EngineError as error:
-            raise ValueError(str(error)) from None
-        self.engine.start()
-        self.engine.join([job_id])
-        result = self.engine.result(job_id)
-        if result.state.value != "succeeded":
-            error = result.error or "stream ingest failed"
-            unavailable = _store_unavailable(error)
-            if unavailable is not None:
-                raise unavailable
-            # client-input failures (duplicate ids, malformed batches)
-            # are 400s; anything else is a genuine server-side error
-            client_errors = (
-                "StreamError:", "ValueError:", "DatasetError:",
-                "StorageError:",
-            )
-            if error.startswith(client_errors):
-                raise ValueError(error)
-            raise ApiError(500, error)
-        return {"job": job_id, "snapshot": result.value}
+            snapshot = session.ingest(records)
+        except (StreamError, ValueError, StorageError) as error:
+            if _store_unavailable(error) is not None:
+                raise  # handle() answers it with a 503
+            # the batch clashes with the session or the store: a client
+            # error; anything else propagates as a server-side error
+            raise ValueError(f"{type(error).__name__}: {error}") from None
+        except KeyError as error:
+            # a server-side error too, not the unknown name that
+            # handle() answers a bare KeyError with
+            raise ApiError(500, f"{type(error).__name__}: {error}") from None
+        return {"snapshot": {"stream": session.name, **snapshot.as_dict()}}

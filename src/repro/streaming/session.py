@@ -331,8 +331,7 @@ class StreamingMatcher:
         scoring runs in this process (:mod:`repro.matching.comparison`),
         on the session's columnar layout when the comparator has a
         kernel plan.  Thread-safe (ingests serialize on an internal
-        lock) so batches may be submitted through the engine's worker
-        pool.
+        lock) so concurrent requests may ingest into one session.
         """
         batch = (
             list(records)

@@ -161,14 +161,6 @@ class TestCacheSemantics:
             warm = ExperimentEngine(platform, store=store)
             assert warm.run([JobSpec("metrics", params, job_id="a")])["a"].cached
 
-    def test_uncacheable_spec_always_computes(self, engine):
-        params = {"dataset": "people", "gold": "people-gold"}
-        engine.run([JobSpec("metrics", params, job_id="a", cacheable=False)])
-        result = engine.run(
-            [JobSpec("metrics", params, job_id="b", cacheable=False)]
-        )["b"]
-        assert result.cached is False and result.cache_key is None
-
 
 class TestSweep:
     def test_sweep_fans_out_and_orders_results(self, engine):
@@ -231,22 +223,23 @@ class TestFailureIsolation:
         engine = ExperimentEngine(platform, max_workers=1)
         release = threading.Event()
 
-        def blocked(params, inputs):
+        def blocked(params):
             release.wait(timeout=30)
             return "done"
 
         engine.register_handler("blocked", JobHandler(compute=blocked))
-        engine.submit(JobSpec("blocked", {}, job_id="running", cacheable=False))
-        engine.submit(JobSpec("blocked", {}, job_id="queued", cacheable=False))
+        engine.submit(JobSpec("blocked", {}, job_id="running"))
+        engine.submit(JobSpec("blocked", {}, job_id="queued"))
         engine.submit(
-            JobSpec("blocked", {}, job_id="child",
-                    depends_on=("queued",), cacheable=False)
+            JobSpec("blocked", {}, job_id="child", depends_on=("queued",))
         )
         engine.start()
         assert engine.cancel("queued") is True
         release.set()
         assert engine.join(timeout=30)
         assert engine.result("running").state is JobState.SUCCEEDED
+        # a kind without a cache token never consults the cache
+        assert engine.result("running").cache_key is None
         assert engine.result("queued").state is JobState.CANCELLED
         assert engine.result("child").state is JobState.SKIPPED
 
@@ -255,9 +248,9 @@ class TestFailureIsolation:
         engine = ExperimentEngine(platform, max_workers=2)
         release = threading.Event()
         engine.register_handler(
-            "blocked", JobHandler(compute=lambda params, inputs: release.wait(30))
+            "blocked", JobHandler(compute=lambda params: release.wait(30))
         )
-        engine.submit(JobSpec("blocked", {}, job_id="slow", cacheable=False))
+        engine.submit(JobSpec("blocked", {}, job_id="slow"))
         engine.start()
         fast = engine.submit(
             JobSpec("metrics", {"dataset": "people", "gold": "people-gold"},

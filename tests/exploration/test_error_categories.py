@@ -183,6 +183,16 @@ class TestCategorizeErrors:
         with pytest.raises(ValueError, match="non-negative"):
             categorize_errors(dataset, experiment, gold, limit=-1)
 
+    def test_negative_typo_threshold_is_refused(self, typo_scenario):
+        dataset, _experiment, gold = typo_scenario
+        with pytest.raises(ValueError, match="non-negative"):
+            classify_value_pair("john", "johm", typo_threshold=-1)
+        # refused up front, also with no misclassified pair to classify
+        with pytest.raises(ValueError, match="non-negative"):
+            categorize_errors(
+                dataset, gold.as_experiment(), gold, typo_threshold=-1
+            )
+
     def test_attribute_subset(self, typo_scenario):
         dataset, experiment, gold = typo_scenario
         result = categorize_errors(dataset, experiment, gold, attributes=["city"])

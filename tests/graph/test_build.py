@@ -125,7 +125,10 @@ class TestGraphUpdater:
             [(0, "a"), (1, "b")], [ScoredPair.of("a", "b", 0.9)]
         )
         again = GraphUpdater.attach(store, "g")
-        assert again.graph.component_members() == {0: ["a", "b"]}
+        assert [
+            (component["component"], component["records"])
+            for component in again.graph.components()
+        ] == [(0, ["a", "b"])]
         assert again.graph.threshold == 0.7
 
     def test_duplicate_graph_name_rejected(self):

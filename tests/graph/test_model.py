@@ -58,8 +58,8 @@ class TestConstruction:
 
     def test_components_follow_only_accepted_edges(self):
         graph = graph_of([("a", "b", 0.9), ("b", "c", 0.3)])
-        members = graph.component_members()
-        assert sorted(members.values()) == [["a", "b"], ["c"]]
+        members = [component["records"] for component in graph.components()]
+        assert sorted(members) == [["a", "b"], ["c"]]
 
     def test_summary_counts(self):
         graph = graph_of(
@@ -72,6 +72,35 @@ class TestConstruction:
         assert summary["component_count"] == 3
         assert summary["cluster_count"] == 1
         assert summary["largest_component"] == 2
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_edge_count_equals_a_scan_of_the_edges(self, data):
+        """Accepted and rejected edges mixed, with refused calls (self-
+        edges, duplicates) that must leave the count alone."""
+        n = data.draw(st.integers(min_value=2, max_value=10), label="nodes")
+        graph = MatchGraph("g", 0.5)
+        for node in range(n):
+            graph.add_node(f"r{node}")
+        nodes = st.integers(min_value=0, max_value=n - 1)
+        calls = data.draw(
+            st.lists(
+                st.tuples(nodes, nodes, st.sampled_from([0.1, 0.3, 0.5, 0.9])),
+                max_size=40,
+            ),
+            label="add_edge calls",
+        )
+        for first, second, score in calls:
+            try:
+                graph.add_edge(first, second, score)
+            except ValueError:
+                pass
+            assert graph.accepted_edge_count == sum(
+                accepted for _, accepted in graph._edges.values()
+            )
+        assert graph.summary()["accepted_edge_count"] == (
+            graph.accepted_edge_count
+        )
 
 
 class TestNeighbors:

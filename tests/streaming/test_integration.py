@@ -1,4 +1,4 @@
-"""Cross-layer integration: engine jobs, API routes, CLI commands."""
+"""Cross-layer integration: API routes, the HTTP server, CLI commands."""
 
 import contextlib
 import http.client
@@ -8,7 +8,6 @@ import sqlite3
 import pytest
 
 from repro.core.platform import FrostPlatform
-from repro.engine import ExperimentEngine, JobSpec
 from repro.server.api import (
     RETRY_AFTER_SECONDS,
     ApiError,
@@ -16,8 +15,7 @@ from repro.server.api import (
     _store_unavailable,
 )
 from repro.server.http import FrostHttpServer
-from repro.storage.database import FrostStore
-from repro.streaming import build_session
+from repro.storage.database import FrostStore, StorageError
 
 CONFIG = {
     "key": {"kind": "first_token", "attribute": "last"},
@@ -34,84 +32,6 @@ ROWS_TWO = [
     {"id": "p4", "first": "maria", "last": "jones"},
     {"id": "p5", "first": "johnny", "last": "smith"},
 ]
-
-
-class TestStreamIngestJob:
-    def test_ingest_runs_as_engine_job(self):
-        engine = ExperimentEngine(FrostPlatform())
-        session = build_session(CONFIG, name="crm")
-        results = engine.run(
-            [
-                JobSpec(
-                    "stream_ingest",
-                    {"session": session, "records": ROWS_ONE},
-                    job_id="b1",
-                    cacheable=False,
-                )
-            ]
-        )
-        assert results["b1"].state.value == "succeeded"
-        assert results["b1"].value["version"] == 1
-        assert results["b1"].value["stream"] == "crm"
-        assert session.record_count == 3
-
-    def test_chained_batches_respect_dependencies(self):
-        engine = ExperimentEngine(FrostPlatform())
-        session = build_session(CONFIG, name="crm")
-        results = engine.run(
-            [
-                JobSpec(
-                    "stream_ingest",
-                    {"session": session, "records": ROWS_ONE},
-                    job_id="b1",
-                    cacheable=False,
-                ),
-                JobSpec(
-                    "stream_ingest",
-                    {"session": session, "records": ROWS_TWO},
-                    job_id="b2",
-                    depends_on=("b1",),
-                    cacheable=False,
-                ),
-            ]
-        )
-        assert results["b2"].value["version"] == 2
-        assert results["b2"].value["record_count"] == 5
-
-    def test_ingest_jobs_are_never_cached(self):
-        """Identical batches into different streams must both execute."""
-        engine = ExperimentEngine(FrostPlatform())
-        first = build_session(CONFIG, name="one")
-        second = build_session(CONFIG, name="two")
-        results = engine.run(
-            [
-                JobSpec("stream_ingest",
-                        {"session": first, "records": ROWS_ONE}, job_id="j1"),
-                JobSpec("stream_ingest",
-                        {"session": second, "records": ROWS_ONE}, job_id="j2",
-                        depends_on=("j1",)),
-            ]
-        )
-        assert not results["j1"].cached and not results["j2"].cached
-        assert first.record_count == second.record_count == 3
-
-    def test_failed_ingest_fails_job_only(self):
-        engine = ExperimentEngine(FrostPlatform())
-        session = build_session(CONFIG, name="crm")
-        session.ingest(ROWS_ONE)
-        results = engine.run(
-            [
-                JobSpec(
-                    "stream_ingest",
-                    {"session": session, "records": ROWS_ONE},
-                    job_id="dup",
-                    cacheable=False,
-                )
-            ]
-        )
-        assert results["dup"].state.value == "failed"
-        assert "already ingested" in results["dup"].error
-        assert session.version == 1
 
 
 @pytest.fixture
@@ -141,6 +61,24 @@ class TestStreamApiRoutes:
         assert len(status["snapshots"]) == 2
         listing = api.handle("/streams")
         assert listing == {"streams": ["crm"]}
+
+    def test_batches_ingest_in_the_request_and_create_no_jobs(self, api):
+        """A body's ``"job_id"`` is accepted and ignored."""
+        api.handle(
+            "/streams", method="POST", body={"name": "crm", "config": CONFIG}
+        )
+        first = api.handle(
+            "/streams/crm/batches", method="POST", body={"records": ROWS_ONE}
+        )
+        second = api.handle(
+            "/streams/crm/batches", method="POST",
+            body={"job_id": "write-1", "records": ROWS_TWO},
+        )
+        assert list(first) == list(second) == ["snapshot"]
+        assert first["snapshot"]["stream"] == "crm"
+        assert first["snapshot"]["version"] == 1
+        assert second["snapshot"]["version"] == 2
+        assert api.handle("/jobs")["jobs"] == []
 
     def test_unknown_stream_is_404(self, api):
         with pytest.raises(ApiError) as missing:
@@ -197,6 +135,99 @@ class TestStreamApiRoutes:
                 body={"records": ROWS_ONE},
             )
         assert dup.value.status == 400
+        assert dup.value.message.startswith(
+            "StreamError: record 'p1' was already ingested"
+        )
+        assert api.handle("/streams/crm")["version"] == 1
+
+    def test_collision_with_stored_state_is_400(self, tmp_path):
+        """Another writer stored the stream's next version first."""
+        path = tmp_path / "streams.db"
+        with FrostStore(path) as store:
+            api = FrostApi(FrostPlatform(), store=store)
+            api.handle(
+                "/streams", method="POST",
+                body={"name": "crm", "config": CONFIG},
+            )
+            api.handle(
+                "/streams/crm/batches", method="POST",
+                body={"records": ROWS_ONE},
+            )
+            writer = sqlite3.connect(path)
+            try:
+                with writer:
+                    writer.execute(
+                        "INSERT INTO stream_snapshots (stream_id, version, "
+                        "parent_version, created_at, record_count, "
+                        "cluster_count, pair_count, delta_candidates, "
+                        "accepted_matches) SELECT stream_id, 2, 1, 0, 0, 0, "
+                        "0, 0, 0 FROM streams WHERE name = 'crm'"
+                    )
+            finally:
+                writer.close()
+            with pytest.raises(ApiError) as collision:
+                api.handle(
+                    "/streams/crm/batches", method="POST",
+                    body={"records": ROWS_TWO},
+                )
+            assert collision.value.status == 400
+            assert collision.value.message.startswith(
+                "StorageError: stream 'crm': batch 2 collides with stored "
+                "state"
+            )
+            assert api.handle("/streams/crm")["version"] == 1
+
+    @pytest.mark.parametrize(
+        ("error", "text"),
+        [
+            (RuntimeError("scoring failed"), "RuntimeError: scoring failed"),
+            # not a 404: handle() answers only unknown names with one
+            (KeyError("scoring failed"), "KeyError: 'scoring failed'"),
+        ],
+        ids=["runtime", "key"],
+    )
+    def test_unexpected_error_is_500_over_http(
+        self, api, monkeypatch, error, text
+    ):
+        """The error answers on the connection, which serves on."""
+        api.handle(
+            "/streams", method="POST", body={"name": "crm", "config": CONFIG}
+        )
+        api.handle(
+            "/streams/crm/batches", method="POST", body={"records": ROWS_ONE}
+        )
+        session = api._stream("crm")
+
+        def failing_scorer(vectors):
+            raise error
+
+        with FrostHttpServer(api, port=0) as server:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+
+            def post(rows):
+                connection.request(
+                    "POST", "/streams/crm/batches",
+                    body=json.dumps({"records": rows}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                return response.status, json.loads(response.read())
+
+            try:
+                monkeypatch.setattr(
+                    session.pipeline, "score_vectors", failing_scorer
+                )
+                failed = post(ROWS_TWO)
+                monkeypatch.undo()
+                assert failed == (500, {"error": text, "status": 500})
+                assert session.version == 1
+                status, body = post(ROWS_TWO)
+            finally:
+                connection.close()
+        assert status == 200
+        assert body["snapshot"]["version"] == 2
 
     def test_durable_streams_resume_across_api_instances(self, tmp_path):
         path = tmp_path / "streams.db"
@@ -233,8 +264,8 @@ class TestStoreUnavailable:
 
     @pytest.fixture
     def path(self, tmp_path, monkeypatch):
-        # every connection the store opens (the engine worker's too)
-        # gives up on a held lock after 50 ms instead of 10 s
+        # every connection the store opens gives up on a held lock
+        # after 50 ms instead of 10 s
         monkeypatch.setattr(FrostStore, "_BUSY_TIMEOUT_MS", 50)
         path = tmp_path / "streams.db"
         with FrostStore(path) as store:
@@ -320,11 +351,11 @@ class TestStoreUnavailable:
     @pytest.mark.parametrize(
         ("error", "status"),
         [
-            ("OperationalError: database or disk is full", 503),
-            ("OperationalError: database is locked", 503),
-            ("StorageError: store 'x.db' is closed", 503),
-            ("StorageError: stream 'crm': batch 3 collides", None),
-            ("OperationalError: no such table: stream_records", None),
+            (sqlite3.OperationalError("database or disk is full"), 503),
+            (sqlite3.OperationalError("database is locked"), 503),
+            (StorageError("store 'x.db' is closed"), 503),
+            (StorageError("stream 'crm': batch 3 collides"), None),
+            (sqlite3.OperationalError("no such table: stream_records"), None),
         ],
         ids=["full", "locked", "closed", "collision", "schema"],
     )
@@ -351,9 +382,9 @@ class TestStoreUnavailable:
         assert body["status"] == 503
 
     def test_ingest_into_a_full_store(self, path, monkeypatch):
-        """Every connection of the store, the engine worker's included,
-        is capped at the file's current size, so the batch cannot grow
-        it; once the cap goes, the same batch goes in."""
+        """Every connection of the store, pooled or opened later, is
+        capped at the file's current size, so the batch cannot grow it;
+        once the cap goes, the same batch goes in."""
         batch = [
             {"id": f"q{index:03d}", "first": f"first {index}",
              "last": ["smith", "jones", "miller"][index % 3]}
